@@ -8,7 +8,7 @@ the waste the data-furnace model monetises.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -17,12 +17,13 @@ from repro.hardware.datacenter import Datacenter
 from repro.hardware.server import Task
 from repro.network.internet import WANLink, WANProfile
 from repro.network.lowpower import ZIGBEE, LowPowerLink
+from repro.obs import get_obs
 from repro.sim.calendar import SimCalendar
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.thermal.building import Building, RoomConfig
 from repro.thermal.comfort import ComfortTracker
-from repro.thermal.heat_island import HeatIslandLedger, OutdoorHeatSource
+from repro.thermal.heat_island import HeatIslandLedger
 from repro.thermal.weather import Weather, WeatherConfig
 
 __all__ = ["CloudOnlyBaseline"]
@@ -50,7 +51,7 @@ class CloudOnlyBaseline:
     ):
         if n_rooms < 1:
             raise ValueError("need at least one room")
-        self.engine = Engine(start=start_time)
+        self.engine = Engine(start=start_time, **get_obs().engine_hooks())
         self.rngs = RngRegistry(seed)
         self.cal = SimCalendar()
         self.weather = Weather(self.rngs.stream("weather"), weather, horizon=weather_horizon)

@@ -24,6 +24,7 @@ from typing import List
 from repro.core.requests import CloudRequest, EdgeRequest, RequestStatus
 from repro.hardware.cpu import DVFSLadder
 from repro.hardware.server import ComputeServer, ServerSpec, Task
+from repro.obs import get_obs
 from repro.sim.calendar import SimCalendar
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -56,7 +57,7 @@ class DesktopGridBaseline:
             raise ValueError("need at least one desktop")
         if not 0 <= owner_hours[0] < owner_hours[1] <= 24:
             raise ValueError("owner hours must be an increasing pair in [0, 24]")
-        self.engine = Engine(start=start_time)
+        self.engine = Engine(start=start_time, **get_obs().engine_hooks())
         self.rngs = RngRegistry(seed)
         self.cal = SimCalendar()
         self.owner_hours = owner_hours
@@ -103,13 +104,31 @@ class DesktopGridBaseline:
             self._drain()
 
     # ------------------------------------------------------------------ #
+    def _widest_gap(self) -> int:
+        """Most free cores on any one desktop."""
+        return max(d.free_cores for d in self.desktops)
+
     def _drain(self) -> None:
+        # A request wider than the widest gap fits nowhere, so skipping it
+        # leaves exactly the same submits as trying every desktop; once no
+        # desktop has a free core the rest of the queue stays as it is.
+        # The submits must not change: each one syncs its desktop, which
+        # splits the energy and cycle float folds the outputs are made of.
         if self.owner_present(self.engine.now):
             return
+        widest = self._widest_gap()
+        if widest == 0:
+            return
+        queue = self._queue
         remaining = []
-        for req, sink in self._queue:
-            if not self._try_place(req, sink):
+        for i, (req, sink) in enumerate(queue):
+            if req.cores > widest or not self._try_place(req, sink):
                 remaining.append((req, sink))
+                continue
+            widest = self._widest_gap()
+            if widest == 0:
+                remaining.extend(queue[i + 1:])
+                break
         self._queue = remaining
 
     def _try_place(self, req, sink) -> bool:

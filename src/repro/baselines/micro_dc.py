@@ -18,6 +18,7 @@ from repro.hardware.datacenter import Datacenter
 from repro.hardware.server import Task
 from repro.network.link import Link
 from repro.network.lowpower import ZIGBEE, LowPowerLink
+from repro.obs import get_obs
 from repro.sim.calendar import SimCalendar
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -47,7 +48,7 @@ class MicroDatacenterBaseline:
     ):
         if n_districts < 1 or nodes_per_micro_dc < 1:
             raise ValueError("need at least one district and one node")
-        self.engine = Engine(start=start_time)
+        self.engine = Engine(start=start_time, **get_obs().engine_hooks())
         self.rngs = RngRegistry(seed)
         self.cal = SimCalendar()
         self.weather = Weather(self.rngs.stream("weather"), weather, horizon=weather_horizon)

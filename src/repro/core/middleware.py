@@ -60,7 +60,7 @@ from repro.thermal.building import Building, RoomConfig, ThermostatSchedule
 from repro.thermal.comfort import ComfortTracker
 from repro.thermal.fused import FusedCityThermal
 from repro.thermal.surrogate import SurrogateConfig, SurrogateController
-from repro.thermal.heat_island import HeatIslandLedger, OutdoorHeatSource
+from repro.thermal.heat_island import HeatIslandLedger
 from repro.thermal.hydronics import WaterLoop, WaterLoopConfig
 from repro.thermal.rc_model import RoomThermalParams
 from repro.thermal.weather import Weather, WeatherConfig
@@ -160,11 +160,7 @@ class DF3Middleware:
         self.config = config
         cfg = config
         self.obs = obs if obs is not None else get_obs()
-        self.engine = Engine(
-            start=cfg.start_time,
-            tracer=self.obs.tracer if self.obs.tracer.enabled else None,
-            profiler=self.obs.profiler,
-        )
+        self.engine = Engine(start=cfg.start_time, **self.obs.engine_hooks())
         #: resolved kernel for this city ("scalar" | "vector" | "surrogate");
         #: resolved before any server exists, because servers adopt the
         #: engine's incremental-accounting mode at construction time.  The

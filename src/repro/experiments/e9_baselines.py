@@ -14,13 +14,12 @@ owner-discomfort account for the desktop grid.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List
 
 from repro.baselines.cloud_only import CloudOnlyBaseline
 from repro.baselines.desktop_grid import DesktopGridBaseline
 from repro.baselines.micro_dc import MicroDatacenterBaseline
-from repro.core.requests import CloudRequest, EdgeRequest, RequestStatus
+from repro.core.requests import EdgeRequest, RequestStatus
 from repro.core.scheduling.base import SaturationPolicy
 from repro.experiments.common import ExperimentResult, mid_month_start, small_city
 from repro.metrics.latency import LatencyStats

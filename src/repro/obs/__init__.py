@@ -29,7 +29,7 @@ fully instrumented without touching its code.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs.profiler import Profiler
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -98,6 +98,12 @@ class Observability:
         """True when any pillar should receive data — the hot-path guard."""
         return (self.tracer.enabled or self.metrics_enabled
                 or self.profiler is not None)
+
+    def engine_hooks(self) -> Dict[str, Any]:
+        """``Engine`` keyword arguments attaching this bundle's profiler and,
+        when it is enabled, its tracer; the inactive bundle attaches none."""
+        return {"tracer": self.tracer if self.tracer.enabled else None,
+                "profiler": self.profiler}
 
     # convenience pass-throughs so call sites read `obs.emit(...)` etc.
     def emit(self, kind: str, name: str, ts: float,

@@ -150,3 +150,53 @@ def test_desktop_grid_validation():
         DesktopGridBaseline(n_desktops=0)
     with pytest.raises(ValueError):
         DesktopGridBaseline(owner_hours=(23.0, 18.0))
+
+
+def test_desktop_grid_requeue_work_is_linear_in_requests():
+    """A saturated grid must not retry the whole stuck queue on every
+    completion: placement attempts stay linear in the request count, and
+    every completed request was submitted to a desktop exactly once."""
+    n_req, horizon = 300, HOUR
+    b = DesktopGridBaseline(n_desktops=2, start_time=WINTER)  # owners absent
+    reqs = [cloud(WINTER + 10.0, cycles=GHZ, cores=1) for _ in range(n_req)]
+    b.inject(reqs)
+
+    calls = {"try_place": 0, "submit": 0}
+    try_place = b._try_place
+
+    def counting_try_place(req, sink):
+        calls["try_place"] += 1
+        return try_place(req, sink)
+
+    b._try_place = counting_try_place
+    for d in b.desktops:
+        def counting_submit(task, _submit=d.submit):
+            calls["submit"] += 1
+            return _submit(task)
+        d.submit = counting_submit
+
+    b.run_until(WINTER + horizon)
+    assert all(r.status is RequestStatus.COMPLETED for r in reqs)
+    ticks = int(horizon // 300.0)
+    assert calls["try_place"] <= 4 * n_req + ticks * len(b.desktops)
+    assert calls["submit"] == len(b.completed_cloud) == n_req
+
+
+def test_baseline_engines_report_to_the_profiler():
+    """``--profile`` sees the baseline worlds: each baseline engine carries
+    the installed profiler (and no tracer while tracing is off)."""
+    from repro.obs import Observability, Profiler, obs_session
+
+    prof = Profiler()
+    with obs_session(Observability(profiler=prof)):
+        worlds = [CloudOnlyBaseline(n_rooms=2, dc_nodes=1, start_time=WINTER),
+                  MicroDatacenterBaseline(n_rooms=2, start_time=WINTER),
+                  DesktopGridBaseline(n_desktops=2, start_time=WINTER)]
+    for w in worlds:
+        assert w.engine.profiler is prof and w.engine.tracer is None
+    grid = worlds[-1]
+    grid.inject([cloud(WINTER + 10.0, cycles=GHZ)])
+    grid.run_until(WINTER + HOUR)
+    labels = prof.stats()
+    assert labels["process:desktop-grid-tick"]["calls"] == 12
+    assert labels["ComputeServer._on_completion_event"]["calls"] == 1

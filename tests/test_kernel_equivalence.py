@@ -294,6 +294,20 @@ def test_kernel_flag_reaches_every_layer():
     assert vec._fused_thermal is not None and ref._fused_thermal is None
 
 
+def test_bare_engine_defaults_to_incremental_accounting():
+    """Engines that never chose a kernel (the baselines, E1/E7/...) get the
+    cached busy-core counter; only ``kernel="scalar"`` opts out."""
+    from repro.hardware.cpu import DVFSLadder
+    from repro.hardware.server import ComputeServer, ServerSpec
+    from repro.sim.engine import Engine
+
+    spec = ServerSpec(model="m", n_cores=4, ladder=DVFSLadder.intel_like(),
+                      p_idle_w=10.0, p_max_w=50.0)
+    assert ComputeServer("s", spec, Engine())._incremental
+    ref = small_city(kernel="scalar")
+    assert not any(s._incremental for s in ref.all_servers)
+
+
 # --------------------------------------------------------------------------- #
 # perf-regression guard: per-tick scan work
 # --------------------------------------------------------------------------- #
