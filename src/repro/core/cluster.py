@@ -95,7 +95,10 @@ class Cluster:
 
     def free_cores(self) -> int:
         """Currently free cores across all powered-on workers."""
-        return sum(w.free_cores for w in self._workers.values())
+        free = 0
+        for w in self._workers.values():
+            free += w.free_cores
+        return free
 
     def utilization(self) -> float:
         """Busy-core fraction of the whole cluster."""

@@ -132,8 +132,10 @@ class FaultInjector:
         through the *gateway* — so a concurrent master outage rejects salvage
         exactly as it rejects fresh indirect traffic.  With
         ``salvage_edge=False`` they are terminally rejected instead (no retry
-        policy: the client never learns it should resubmit).  Filler is
-        always dropped.
+        policy: the client never learns it should resubmit).  An edge request
+        that already finished — its speculative clone won while the crash
+        awaited detection — is left as it is: only its redo waste is booked.
+        Filler is always dropped.
         """
         if progress not in ("preserve", "restart", "checkpoint"):
             raise ValueError(f"unknown progress mode {progress!r}")
@@ -167,10 +169,14 @@ class FaultInjector:
                 if not salvage_edge:
                     sched.reject_edge(req, reason="crash")
                     continue
+                if progress != "preserve":
+                    wasted += max(0.0, req.cycles - task.remaining_cycles)
+                if req.finished:
+                    # its clone won while this crash awaited detection: the
+                    # request stays done; only the crashed copy's work is lost
+                    continue
                 if progress == "preserve":
                     req.cycles = max(task.remaining_cycles, 1.0)
-                else:
-                    wasted += max(0.0, req.cycles - task.remaining_cycles)
                 if obs is not None and obs.active:
                     obs.emit_span("resilience", "edge.salvaged",
                                   self.mw.engine.now, ctx=req,

@@ -81,33 +81,37 @@ class EdgeGateway:
         request is rejected (no master to queue it — the §II-C trade-off).
         """
         self.received += 1
-        if self.obs.active:
-            self.obs.emit_span("request", "edge.received", self.engine.now,
-                               ctx=req, id=req.request_id, mode=req.mode.value,
-                               cluster=self.scheduler.cluster.name)
-            self.obs.counter("gateway_received", flow="edge",
-                             cluster=self.scheduler.cluster.name).inc()
+        now = self.engine.now
+        obs = self.obs
+        if obs.active:
+            obs.emit_span("request", "edge.received", now,
+                          ctx=req, id=req.request_id, mode=req.mode.value,
+                          cluster=self.scheduler.cluster.name)
+            obs.counter("gateway_received", flow="edge",
+                        cluster=self.scheduler.cluster.name).inc()
         if req.mode is not EdgeMode.DIRECT and not self.master_up:
             # the master is the indirect path's single point of failure
             # (§IV); the request never reaches the radio link
             self._reject_or_retry(req)
             return
-        link = self._link_for(req.source or "unknown")
-        delivered = link.send(self.engine.now, int(req.input_bytes))
-        radio_delay = delivered - self.engine.now
+        source = req.source or "unknown"
+        link = self._links.get(source) or self._link_for(source)
+        delivered = link.send(now, int(req.input_bytes))
+        radio_delay = delivered - now
         req.network_delay_s += radio_delay
 
         if req.mode is EdgeMode.DIRECT:
             if direct_target is None:
                 raise ValueError("direct edge request needs a target server")
             self.direct_requests += 1
-            self.engine.schedule(radio_delay + _DIRECT_LAN_S,
-                                 lambda: self._direct_place(req, direct_target))
+            self.engine.schedule_at(
+                now + (radio_delay + _DIRECT_LAN_S),
+                lambda: self._direct_place(req, direct_target))
         else:
             overhead = self.scheduler.cluster.config.master_overhead_s
             req.network_delay_s += overhead
-            self.engine.schedule(radio_delay + overhead,
-                                 lambda: self.scheduler.submit_edge(req))
+            self.engine.schedule_at(now + (radio_delay + overhead),
+                                    lambda: self.scheduler.submit_edge(req))
 
     def resubmit(self, req: EdgeRequest) -> None:
         """Re-enter a request that already paid its delivery delays.

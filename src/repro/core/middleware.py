@@ -201,6 +201,7 @@ class DF3Middleware:
         self.regulators: Dict[str, HeatRegulator] = {}   # room name → regulator
         self.collectives: Dict[str, CollectiveController] = {}  # building → ctrl
         self._server_room: Dict[str, str] = {}           # server name → room name
+        self._source_district: Dict[str, int] = {}       # request source → district
         self._room_server: Dict[str, QRad] = {}
         self.boilers: List[DigitalBoiler] = []
         self.smartgrid = SmartGridManager(self.engine)
@@ -710,10 +711,15 @@ class DF3Middleware:
     # the three flows
     # ------------------------------------------------------------------ #
     def _district_of(self, source: str) -> int:
-        try:
-            return int(source.split("/")[0].split("-")[1])
-        except (IndexError, ValueError):
-            raise ValueError(f"cannot infer district from source {source!r}") from None
+        d = self._source_district.get(source)
+        if d is None:
+            try:
+                d = int(source.split("/")[0].split("-")[1])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"cannot infer district from source {source!r}") from None
+            self._source_district[source] = d
+        return d
 
     def submit_heating(self, req: HeatingRequest) -> None:
         """First flow: update comfort targets of the rooms in scope.

@@ -169,7 +169,7 @@ class EdgeRequest(_ComputeRequest):
     flow = Flow.EDGE
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        _ComputeRequest.__post_init__(self)
         if self.deadline_s <= 0:
             raise ValueError(f"deadline must be > 0, got {self.deadline_s}")
 

@@ -47,7 +47,6 @@ the server.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -196,10 +195,15 @@ class RecoveryRuntime:
         self.injector = FaultInjector(middleware)
         self.detector = HeartbeatFailureDetector(
             config.detector, middleware.rngs.stream("resilience-detector"))
+        # cluster membership never changes after construction: the sorted
+        # district order and the worker → district map are fixed here
+        self._districts = sorted(middleware.clusters)
+        self._worker_district: Dict[str, int] = {}
         # registration order is sorted → deterministic phase draws
-        for d in sorted(middleware.clusters):
+        for d in self._districts:
             for w in middleware.clusters[d].workers:
                 self.detector.register(w.name)
+                self._worker_district.setdefault(w.name, d)
         for d in sorted(middleware.edge_gateways):
             self.detector.register(f"master-{d}")
 
@@ -266,8 +270,7 @@ class RecoveryRuntime:
             if not w.enabled:
                 continue
             total += w.n_cores
-            busy += sum(t.cores for t in w.running_tasks
-                        if t.metadata.get("kind") != "filler")
+            busy += w.busy_cores_excluding("filler")
         return busy, total
 
     def status_dict(self) -> Dict[str, object]:
@@ -392,8 +395,17 @@ class RecoveryRuntime:
     def _clone_peer(self, district: int) -> int:
         """The district that takes the speculative copy: most free cores
         among the peers (lowest district id breaks ties)."""
-        return min((d for d in sorted(self.mw.clusters) if d != district),
-                   key=lambda d: (-self.mw.clusters[d].free_cores(), d))
+        clusters = self.mw.clusters
+        best = best_free = None
+        for d in self._districts:  # ascending: strict > keeps the lowest id
+            if d == district:
+                continue
+            free = clusters[d].free_cores()
+            if best is None or free > best_free:
+                best, best_free = d, free
+        if best is None:
+            raise ValueError("no peer district to take a clone")
+        return best
 
     def maybe_clone(self, req, district: int) -> bool:
         """Clone ``req`` if eligible and no gate vetoes it.
@@ -455,18 +467,20 @@ class RecoveryRuntime:
         """
         if peer is None:
             peer = self._clone_peer(district)
-        clone = copy.copy(req)
+        # a shallow copy, as copy.copy makes it, minus its protocol dispatch
+        clone = object.__new__(type(req))
+        clone.__dict__.update(req.__dict__)
         clone.request_id = f"{req.request_id}#clone"
         group = CloneGroup(req, clone, self,
                            cancel_on=self.cfg.recovery.clone_cancel_on)
         req.__dict__["_clone_group"] = group
         clone.__dict__["_clone_group"] = group
         self.log.clones_spawned += 1
-        if self.mw.obs.active:
-            self.mw.obs.emit_span("resilience", "edge.cloned", self.engine.now,
-                                  ctx=req, id=req.request_id,
-                                  home=district, peer=peer)
-        if self.mw.obs.tracer.enabled:
+        obs = self.mw.obs
+        if obs.active:
+            obs.emit_span("resilience", "edge.cloned", self.engine.now,
+                          ctx=req, id=req.request_id, home=district, peer=peer)
+        if obs.tracer.enabled:
             # the clone's first span hangs off the primary's chain tip so
             # both execution attempts live in one causal tree
             link_spans(clone, req)
@@ -482,18 +496,17 @@ class RecoveryRuntime:
         loser.__dict__["_clone_cancelled"] = True
         if loser.status is not RequestStatus.RUNNING or not loser.executed_on:
             return  # queued or in flight: dropped lazily at the next touch
-        for d in sorted(self.mw.clusters):
-            try:
-                worker = self.mw.clusters[d].worker(loser.executed_on)
-            except KeyError:
-                continue
-            try:
-                task = worker.preempt(loser.request_id)
-            except KeyError:
-                return  # completed in the same instant; on_complete discards
-            self.log.clone_waste_cycles += max(
-                0.0, loser.cycles - task.remaining_cycles)
-            self.mw.schedulers[d].drain()  # the freed cores can serve queues
+        d = self._worker_district.get(loser.executed_on)
+        if d is None:
+            # running in the datacenter: out of preemption reach; its
+            # completion will be discarded (and booked as waste) by
+            # CloneGroup.on_complete
             return
-        # running in the datacenter: out of preemption reach; its completion
-        # will be discarded (and booked as waste) by CloneGroup.on_complete
+        worker = self.mw.clusters[d].worker(loser.executed_on)
+        try:
+            task = worker.preempt(loser.request_id)
+        except KeyError:
+            return  # completed in the same instant; on_complete discards
+        self.log.clone_waste_cycles += max(
+            0.0, loser.cycles - task.remaining_cycles)
+        self.mw.schedulers[d].drain()  # the freed cores can serve queues

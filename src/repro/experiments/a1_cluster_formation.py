@@ -23,6 +23,7 @@ from repro.core.cluster import Cluster, ClusterConfig
 from repro.experiments.common import ExperimentResult
 from repro.hardware.qrad import QRad
 from repro.metrics.report import Table
+from repro.obs import get_obs
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -35,7 +36,7 @@ def _layout(rng) -> Tuple[List, List[Tuple[float, float]], List[int]]:
     Buildings own 8/3/1 servers (uneven, as real buildings are), and the
     positions form three spatial blobs that do not match building boundaries.
     """
-    engine = Engine()
+    engine = Engine(**get_obs().engine_hooks())
     servers, positions, building_of = [], [], []
     blob_centers = [(0.0, 0.0), (60.0, 0.0), (120.0, 0.0)]
     building_sizes = [8, 3, 1]

@@ -13,6 +13,7 @@ from repro.core.regulation import HeatRegulator, RegulatorConfig
 from repro.experiments.common import ExperimentResult, mid_month_start
 from repro.hardware.qrad import CryptoHeater
 from repro.metrics.report import Table
+from repro.obs import get_obs
 from repro.sim.calendar import DAY
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -27,7 +28,7 @@ __all__ = ["run"]
 def run(days: float = 3.0, seed: int = 67) -> ExperimentResult:
     """A QC-1 heats a January room by mining; economics vs a plain heater."""
     t0 = mid_month_start(1)
-    engine = Engine(start=t0)
+    engine = Engine(start=t0, **get_obs().engine_hooks())
     weather = Weather(RngRegistry(seed).stream("weather"))
     room = RCNetwork([RoomThermalParams()], t_init_c=17.0)
     heater = CryptoHeater("qc1", engine)

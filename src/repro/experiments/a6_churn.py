@@ -44,9 +44,7 @@ asserted by the resilience CI benchmark.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from typing import Any, List
+from typing import Any, Dict, List
 
 from repro.core.requests import CloudRequest
 from repro.core.resilience import (

@@ -25,6 +25,7 @@ from repro.hardware.datacenter import Datacenter
 from repro.hardware.server import Task
 from repro.metrics.report import Table
 from repro.network.internet import WANLink, WANProfile
+from repro.obs import get_obs
 from repro.sim.calendar import DAY, HOUR
 from repro.sim.engine import Engine
 
@@ -51,7 +52,7 @@ def run(seed: int = 43) -> ExperimentResult:
     from repro.hardware.qrad import QRad
 
     frame_cycles = 4 * 3.5e9 * HOUR  # one hour on 4 Q.rad cores
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     qrads = [QRad(f"q{i}", eng) for i in range(2)]
     for i in range(8):
         qrads[i % 2].submit(Task(f"frame-{i}", frame_cycles, cores=4))
@@ -61,7 +62,7 @@ def run(seed: int = 43) -> ExperimentResult:
     df_gross = sum(q.energy_j for q in qrads) / 3.6e6
     df_net = 0.0  # every joule is heat a January room requested anyway
 
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     dc = Datacenter("dc", 1, eng)
     for i in range(8):
         dc.submit(Task(f"frame-{i}", frame_cycles, cores=4))

@@ -23,6 +23,7 @@ from repro.hardware.qrad import QRad
 from repro.hardware.server import Task
 from repro.metrics.report import Table
 from repro.network.link import Link
+from repro.obs import get_obs
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -38,7 +39,7 @@ IMAGES = (
 
 
 def _scenario(disk_gb: float, prefetch: bool, n_requests: int, seed: int) -> Dict[str, float]:
-    engine = Engine(start=mid_month_start(1))
+    engine = Engine(start=mid_month_start(1), **get_obs().engine_hooks())
     rng = RngRegistry(seed).stream("e13")
     registry = Registry(Link("fiber", 0.004, 1e9))
     for img in IMAGES:

@@ -14,6 +14,7 @@ from repro.experiments.common import ExperimentResult, mid_month_start, small_ci
 from repro.hardware.datacenter import Datacenter
 from repro.metrics.energy import EnergyReport
 from repro.metrics.report import Table
+from repro.obs import get_obs
 from repro.sim.calendar import DAY
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -45,7 +46,7 @@ def run(duration_days: float = 1.0, seed: int = 11) -> ExperimentResult:
     df_report = EnergyReport.from_df_fleet(mw.all_servers, mw.ledger.useful_heat_j)
 
     # --- (b) air-cooled datacenter ------------------------------------- #
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     dc = Datacenter("dc", n_nodes=8, engine=eng, cooling_overhead=0.35,
                     fixed_overhead_w=20.0)
     from repro.hardware.server import Task

@@ -24,6 +24,7 @@ from repro.hardware.datacenter import Datacenter
 from repro.hardware.qrad import ERadiator, HeatDumpMode
 from repro.hardware.server import Task
 from repro.metrics.report import Table
+from repro.obs import get_obs
 from repro.sim.calendar import DAY, HOUR
 from repro.sim.engine import Engine
 from repro.thermal.heat_island import HeatIslandLedger, OutdoorHeatSource
@@ -55,7 +56,7 @@ def run(duration_days: float = 1.0, seed: int = 31) -> ExperimentResult:
     }
 
     # --- e-radiator summer dump ----------------------------------------- #
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     ledger = HeatIslandLedger()
     rads = [ERadiator(f"erad-{i}", eng) for i in range(6)]
     for r in rads:
@@ -77,7 +78,7 @@ def run(duration_days: float = 1.0, seed: int = 31) -> ExperimentResult:
     }
 
     # --- always-on boiler ------------------------------------------------ #
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     ledger = HeatIslandLedger()
     loop = WaterLoop(WaterLoopConfig(), t_init_c=55.0)
     boiler = DigitalBoiler("b0", eng, loop, spec=STIMERGY_SMALL,
@@ -96,7 +97,7 @@ def run(duration_days: float = 1.0, seed: int = 31) -> ExperimentResult:
     }
 
     # --- air-cooled datacenter ------------------------------------------ #
-    eng = Engine(start=t0)
+    eng = Engine(start=t0, **get_obs().engine_hooks())
     ledger = HeatIslandLedger()
     dc = Datacenter("dc", 3, eng, ledger=ledger)
     for node in dc.nodes:

@@ -36,6 +36,7 @@ _CYCLE_EPS = 1.0
 #: progress; 1 µs is far below any latency this framework resolves and far
 #: above the ulp of a multi-year time axis (~7.5e-9 s at t = 2 years).
 _TIME_EPS = 1e-6
+_INF = float("inf")
 
 
 class TaskState(Enum):
@@ -46,6 +47,10 @@ class TaskState(Enum):
     COMPLETED = "completed"
     PREEMPTED = "preempted"
     KILLED = "killed"
+
+
+_RUNNING = TaskState.RUNNING
+_COMPLETED = TaskState.COMPLETED
 
 
 @dataclass(slots=True)
@@ -206,7 +211,10 @@ class ComputeServer:
     @property
     def free_cores(self) -> int:
         """Cores available for new tasks (0 when powered off)."""
-        return self.spec.n_cores - self.busy_cores if self._enabled else 0
+        if not self._enabled:
+            return 0
+        busy = self._busy_cores if self._incremental else self.busy_cores
+        return self.spec.n_cores - busy
 
     @property
     def utilization(self) -> float:
@@ -222,6 +230,15 @@ class ComputeServer:
     def running_tasks(self) -> List[Task]:
         """Snapshot of running tasks."""
         return list(self._running.values())
+
+    def busy_cores_excluding(self, kind: str) -> int:
+        """Cores held by running tasks whose ``metadata["kind"]`` is not
+        ``kind`` (no snapshot list: the resilience load gate's hot read)."""
+        busy = 0
+        for t in self._running.values():
+            if t.metadata.get("kind") != kind:
+                busy += t.cores
+        return busy
 
     def core_rate_cycles_per_s(self) -> float:
         """Per-core execution rate at the current P-state."""
@@ -241,9 +258,11 @@ class ComputeServer:
         if not self._enabled:
             p = 0.0
         else:
-            util = self.utilization
-            scale = self.spec.ladder.power_scale(self._freq_cap)
-            p = self.spec.p_idle_w + (self.spec.p_max_w - self.spec.p_idle_w) * util * scale
+            spec = self.spec
+            busy = self._busy_cores if self._incremental else self.busy_cores
+            util = busy / spec.n_cores
+            scale = spec.ladder.power_scale(self._freq_cap)
+            p = spec.p_idle_w + (spec.p_max_w - spec.p_idle_w) * util * scale
         if self._incremental:
             self._power_cache = p
         return p
@@ -256,16 +275,24 @@ class ComputeServer:
     # time integration
     # ------------------------------------------------------------------ #
     def sync(self) -> None:
-        """Advance task progress and energy accounting to ``engine.now``."""
+        """Advance task progress and energy accounting to ``engine.now``.
+
+        Integrates the virtual :meth:`power_w`, so a subclass that adds
+        facility overheads (:class:`~repro.hardware.datacenter.DatacenterNode`)
+        is integrated with them.
+        """
         now = self.engine.now
         dt = now - self._last_sync
-        if dt < 0:
-            raise RuntimeError(f"server {self.name}: engine time went backwards")
-        if dt == 0:
+        if dt <= 0:
+            if dt < 0:
+                raise RuntimeError(f"server {self.name}: engine time went backwards")
             return
         self.energy_j += self.power_w() * dt
-        self.busy_core_seconds += self.busy_cores * dt
-        rate = self.core_rate_cycles_per_s()
+        busy = self._busy_cores if self._incremental else self.busy_cores
+        self.busy_core_seconds += busy * dt
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
         if rate > 0:
             # same fold order as `self.cycles_executed += executed` per task;
             # rem - rem == +0.0 exactly, so the branch matches min()+subtract
@@ -283,42 +310,53 @@ class ComputeServer:
         self._last_sync = now
 
     def _reschedule_completion(self) -> None:
-        if self._completion_event is not None:
-            self._completion_event.cancel()
+        ev = self._completion_event
+        if ev is not None:
+            ev.cancelled = True
             self._completion_event = None
-        rate = self.core_rate_cycles_per_s()
-        if rate <= 0 or not self._running:
+        running = self._running
+        if not running:
             return
-        horizon = float("inf")
-        for t in self._running.values():
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
+        if rate <= 0:
+            return
+        horizon = _INF
+        for t in running.values():
             h = t.remaining_cycles / (rate * t.cores)
             if h < horizon:
                 horizon = h
-        self._completion_event = self.engine.schedule(
-            max(horizon, _TIME_EPS), self._on_completion_event
-        )
+        if horizon < _TIME_EPS:
+            horizon = _TIME_EPS
+        engine = self.engine
+        self._completion_event = engine.schedule_at(
+            engine.now + horizon, self._on_completion_event)
 
     def _on_completion_event(self) -> None:
         self._completion_event = None
         self.sync()
         now = self.engine.now
-        rate = self.core_rate_cycles_per_s()
+        rate = self._rate_cache
+        if rate is None:
+            rate = self.core_rate_cycles_per_s()
+        running = self._running
         # threshold = max(_CYCLE_EPS, rate * t.cores * _TIME_EPS), branch form
         finished = []
-        for t in self._running.values():
+        for t in running.values():
             thr = rate * t.cores * _TIME_EPS
             if thr < _CYCLE_EPS:
                 thr = _CYCLE_EPS
             if t.remaining_cycles <= thr:
                 finished.append(t)
-        for t in finished:
-            del self._running[t.task_id]
-            self._busy_cores -= t.cores
-            t.state = TaskState.COMPLETED
-            t.remaining_cycles = 0.0
-            t.completed_at = now
-            self.completed_count += 1
         if finished:
+            for t in finished:
+                del running[t.task_id]
+                self._busy_cores -= t.cores
+                t.state = _COMPLETED
+                t.remaining_cycles = 0.0
+                t.completed_at = now
+            self.completed_count += len(finished)
             self._power_cache = None
         self._reschedule_completion()
         for t in finished:  # callbacks last: they may submit new work
@@ -330,7 +368,8 @@ class ComputeServer:
     # ------------------------------------------------------------------ #
     def submit(self, task: Task) -> bool:
         """Start ``task`` now.  Returns False if it does not fit (or off)."""
-        if task.task_id in self._running:
+        running = self._running
+        if task.task_id in running:
             raise ValueError(f"task {task.task_id!r} already running on {self.name}")
         if task.cores > self.spec.n_cores:
             raise ValueError(
@@ -340,10 +379,11 @@ class ComputeServer:
         self.sync()
         if not self._enabled or task.cores > self.free_cores:
             return False
-        task.state = TaskState.RUNNING
-        task.submitted_at = self.engine.now if task.submitted_at < 0 else task.submitted_at
+        task.state = _RUNNING
+        if task.submitted_at < 0:
+            task.submitted_at = self.engine.now
         task.server_name = self.name
-        self._running[task.task_id] = task
+        running[task.task_id] = task
         self._busy_cores += task.cores
         self._power_cache = None
         self._reschedule_completion()

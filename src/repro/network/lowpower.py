@@ -24,7 +24,7 @@ sense-compute-actuate designs to stay frugal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class LowPowerLink:
         self.next_free_time = 0.0
         self.messages_sent = 0
         self.airtime_used_s = 0.0
+        # size → (airtime, duty-cycle silence): both are pure functions of
+        # the protocol and the size, so each size is computed once
+        self._air: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ #
     def fragments(self, size_bytes: int) -> int:
@@ -101,14 +104,20 @@ class LowPowerLink:
         Returns the **delivery time** (absolute).  The device's duty-cycle
         budget is consumed; subsequent sends may be gated.
         """
-        air = self.airtime_s(size_bytes)
-        start = max(now, self.next_free_time)
+        cached = self._air.get(size_bytes)
+        if cached is None:
+            air = self.airtime_s(size_bytes)
+            # duty cycle: after `air` seconds on air, stay silent for air*(1/d - 1)
+            cached = (air, air * (1.0 / self.protocol.duty_cycle - 1.0))
+            self._air[size_bytes] = cached
+        air, silence = cached
+        start = now
+        if self.next_free_time > now:
+            start = self.next_free_time
         jitter = 0.0
         if self.jitter_std_s > 0:
             jitter = max(float(self.rng.normal(0.0, self.jitter_std_s)), 0.0)
         delivered = start + self.protocol.base_latency_s + air + jitter
-        # duty cycle: after `air` seconds on air, stay silent for air*(1/d - 1)
-        silence = air * (1.0 / self.protocol.duty_cycle - 1.0)
         self.next_free_time = start + air + silence
         self.messages_sent += 1
         self.airtime_used_s += air

@@ -81,9 +81,10 @@ class Observability:
     Any pillar may be absent: ``Observability(tracer=Tracer())`` traces
     without collecting metrics, ``Observability(registry=MetricsRegistry())``
     collects metrics without tracing, ``Observability()`` is fully inactive.
+    The pillars are fixed at construction, and so is :attr:`active`.
     """
 
-    __slots__ = ("tracer", "registry", "profiler", "metrics_enabled")
+    __slots__ = ("tracer", "registry", "profiler", "metrics_enabled", "active")
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -92,12 +93,10 @@ class Observability:
         self.metrics_enabled = registry is not None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.profiler = profiler
-
-    @property
-    def active(self) -> bool:
-        """True when any pillar should receive data — the hot-path guard."""
-        return (self.tracer.enabled or self.metrics_enabled
-                or self.profiler is not None)
+        #: True when any pillar should receive data — the hot-path guard,
+        #: computed once because the request path reads it millions of times
+        self.active: bool = (self.tracer.enabled or self.metrics_enabled
+                             or profiler is not None)
 
     def engine_hooks(self) -> Dict[str, Any]:
         """``Engine`` keyword arguments attaching this bundle's profiler and,

@@ -44,10 +44,9 @@ loop is exactly the uninstrumented fast path.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Callable, List, Optional
 
@@ -161,7 +160,7 @@ class Engine:
     def schedule(self, delay: float, callback: Callable[[], None], priority: int = 0,
                  label: Optional[str] = None) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        return self.schedule_at(self.now + delay, callback, priority, label=label)
+        return self.schedule_at(self.now + delay, callback, priority, label)
 
     def schedule_at(self, time: float, callback: Callable[[], None], priority: int = 0,
                     label: Optional[str] = None) -> Event:
@@ -170,9 +169,9 @@ class Engine:
         ``label`` names the event for profiling/tracing attribution; unnamed
         events fall back to the callback's ``__qualname__``.
         """
-        if math.isnan(time):
-            raise SimulationError("cannot schedule event at NaN time")
-        if time < self.now:
+        if not time >= self.now:  # one comparison: NaN fails it too
+            if time != time:
+                raise SimulationError("cannot schedule event at NaN time")
             raise SimulationError(
                 f"cannot schedule event in the past: t={time} < now={self.now}"
             )
@@ -185,7 +184,7 @@ class Engine:
         ev.callback = callback
         ev.cancelled = False
         ev.label = label
-        heapq.heappush(self._heap, (t, priority, seq, ev))
+        heappush(self._heap, (t, priority, seq, ev))
         return ev
 
     def reserve_seq(self, n: int = 1) -> None:
@@ -280,8 +279,9 @@ class Engine:
         if horizon < self.now:
             raise SimulationError(f"horizon {horizon} is before now={self.now}")
         instrumented = self.tracer is not None or self.profiler is not None
-        while self._heap and self._heap[0][0] <= horizon:
-            ev = heapq.heappop(self._heap)[3]
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
+            ev = heappop(heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -312,10 +312,11 @@ class Engine:
             raise SimulationError(f"max_events must be >= 0, got {max_events}")
         instrumented = self.tracer is not None or self.profiler is not None
         executed = 0
-        while self._heap and self._heap[0][0] <= horizon:
+        heap = self._heap
+        while heap and heap[0][0] <= horizon:
             if max_events is not None and executed >= max_events:
                 return executed
-            ev = heapq.heappop(self._heap)[3]
+            ev = heappop(heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -348,7 +349,7 @@ class Engine:
     def step(self) -> bool:
         """Execute the single next event.  Returns False if the queue is empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)[3]
+            ev = heappop(self._heap)[3]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -388,5 +389,5 @@ class Engine:
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is empty."""
         while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
+            heappop(self._heap)
         return self._heap[0][0] if self._heap else None

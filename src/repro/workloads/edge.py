@@ -23,6 +23,9 @@ from repro.workloads.arrivals import DiurnalProfile
 
 __all__ = ["EdgeWorkloadConfig", "EdgeWorkloadGenerator"]
 
+#: value → member, so materializing a plan skips the Enum call per request
+_MODES = {m.value: m for m in EdgeMode}
+
 # one planned request: (arrival time, cycles, deadline_s, EdgeMode value).
 # Pure data — no request ids are consumed until materialization.
 EdgePlan = Tuple[Tuple[float, float, float, str], ...]
@@ -135,7 +138,7 @@ class EdgeWorkloadGenerator:
             input_bytes=cfg.input_kb * 1e3,
             output_bytes=cfg.output_kb * 1e3,
             deadline_s=deadline,
-            mode=EdgeMode(mode),
+            mode=_MODES.get(mode) or EdgeMode(mode),
             source=self.source,
             privacy_sensitive=cfg.privacy_sensitive,
         )

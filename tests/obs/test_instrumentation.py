@@ -70,6 +70,19 @@ def test_profiler_sees_middleware_tick():
     assert obs.profiler.total_calls > 0
 
 
+def test_profiler_sees_experiment_built_engines():
+    """An experiment that builds its own Engine (A3 here; also E1, E7, E10,
+    E13 and A1) attaches the installed profiler, and is not perturbed."""
+    from repro.experiments import a3_crypto_heater
+
+    plain = a3_crypto_heater.run(days=0.5)
+    obs = O.Observability(profiler=O.Profiler())
+    with O.obs_session(obs):
+        profiled = a3_crypto_heater.run(days=0.5)
+    assert obs.profiler.stats()["process:crypto-room"]["calls"] > 0
+    assert profiled.text == plain.text
+
+
 def test_instrumentation_does_not_perturb_results():
     plain = run_city()
     instrumented = run_city(obs=full_obs())

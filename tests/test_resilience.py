@@ -227,6 +227,35 @@ def test_clone_survives_primary_crash():
     assert terminal_edge_records(mw) == [req]
 
 
+def test_salvage_leaves_a_request_its_clone_finished():
+    """The clone wins while the primary's crash awaits detection: salvage
+    must not reset (or resubmit) the finished request, and still books the
+    crashed copy's executed cycles as redo waste."""
+    mw = make_mw(recovery=RecoveryConfig(clone=True, retry=True,
+                                         clone_deadline_threshold_s=10.0))
+    rt = mw.resilience
+    req = edge(T0 + 5.0, deadline=8.0, cycles=2 * GHZ)
+    mw.inject([req])
+    mw.run_until(T0 + 5.1)
+    assert req.status is RequestStatus.RUNNING
+    victim = req.executed_on
+    assert victim.startswith("district-0/")
+    rt.on_server_failure(victim)
+    mw.run_until(T0 + 5.1 + 1.4)  # detection takes at least 1.5 s
+    assert req.status is RequestStatus.COMPLETED
+    done_at, ran_on = req.completed_at, req.executed_on
+    assert ran_on.startswith("district-1/")
+    assert rt.log.failure_waste_cycles == 0.0
+    mw.run_until(T0 + 60.0)
+    (latency,) = rt.log.detection_latencies_s
+    assert latency > 1.4  # salvage ran after the clone had won
+    assert req.status is RequestStatus.COMPLETED
+    assert (req.completed_at, req.executed_on) == (done_at, ran_on)
+    assert terminal_edge_records(mw) == [req]
+    assert rt.log.tasks_salvaged == 0
+    assert 0.0 < rt.log.failure_waste_cycles < req.cycles
+
+
 def test_loose_deadline_requests_are_not_cloned():
     mw = make_mw(recovery=RecoveryConfig(clone=True, clone_deadline_threshold_s=10.0))
     req = edge(T0 + 5.0, deadline=300.0)
