@@ -15,7 +15,7 @@ cold ones, subject to per-room comfort bounds (no room may be driven outside
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

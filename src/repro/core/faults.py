@@ -24,10 +24,9 @@ test those claims against the actual middleware:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Set
 
-from repro.core.requests import CloudRequest, EdgeRequest, RequestStatus
-from repro.hardware.server import ComputeServer, Task
+from repro.core.requests import RequestStatus
 
 __all__ = ["FaultInjector", "FaultLog"]
 

@@ -16,11 +16,10 @@ also raises questions about the fairness of cooperation between clusters."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.requests import CloudRequest, EdgeRequest, RequestStatus
+from repro.core.requests import EdgeRequest, RequestStatus
 from repro.hardware.server import Task
 from repro.network.link import Link
 from repro.obs import get_obs

@@ -9,7 +9,7 @@ preemption / offloading / delay menu) is implemented here once.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Sequence
 

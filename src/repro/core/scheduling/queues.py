@@ -11,7 +11,7 @@ import heapq
 import itertools
 from typing import Generic, List, Optional, TypeVar
 
-from repro.core.requests import CloudRequest, EdgeRequest
+from repro.core.requests import EdgeRequest
 
 __all__ = ["FCFSQueue", "EDFQueue"]
 

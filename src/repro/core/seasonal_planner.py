@@ -15,7 +15,7 @@ expose to customers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.pricing import SeasonalPricing
 

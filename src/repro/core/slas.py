@@ -19,12 +19,12 @@ demand) and only best-effort in July.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.requests import EdgeRequest, RequestStatus
+from repro.core.requests import RequestStatus
 from repro.sim.calendar import SimCalendar
 
 __all__ = ["SLATerm", "SLAContract", "SLAViolation", "SLAAuditor"]

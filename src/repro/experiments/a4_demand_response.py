@@ -32,17 +32,15 @@ _WINDOWS_H = (
 def _city_blueprint(seed: int):
     """A4's shared prefix: the resolved city-construction kwargs.
 
-    Pure data (and globally inert — no request ids, no rng), so the DAG
-    backend caches it per node and hands it to the sim cell; the flat
-    backend recomputes it inline, byte-identically.
+    Pure data (and globally inert — no request ids, no rng), so the runner
+    computes it once as a graph node, caches it and hands it to every sim
+    cell.
     """
     return (("seed", seed), ("start_time", mid_month_start(1)))
 
 
-def _dr_cell(seed: int, blueprint=None) -> Dict[str, float]:
+def _dr_cell(seed: int, *, blueprint) -> Dict[str, float]:
     """Simulate the capped day; returns the window means + comfort summary."""
-    if blueprint is None:
-        blueprint = _city_blueprint(seed)
     t0 = mid_month_start(1)
     mw = small_city(**dict(blueprint))
     cap_holder = {"w": 0.0}

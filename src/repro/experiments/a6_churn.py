@@ -123,7 +123,7 @@ def _workload_plan(seed: int):
     """A6's shared prefix: the day of edge traffic as per-building plans.
 
     Identical for all 21 (MTBF, bundle) cells — the grid varies resilience,
-    not workload — so the DAG backend computes it once and fans it out.
+    not workload — so the runner computes it once and fans it out.
     Pure data, globally inert: rng streams are name-keyed per building and
     no request objects (hence no request ids) exist until each cell
     materializes the plan locally.
@@ -145,8 +145,8 @@ def _build_cell(seed: int, mtbf_s: float, recovery: RecoveryConfig,
     Split from :func:`_run_cell` so step-wise drivers (the service layer's
     determinism tests) can advance the identical simulation in slices.
     ``plan`` optionally injects the precomputed :func:`_workload_plan`
-    (the DAG backend's shared prefix); when ``None`` the identical plan is
-    computed inline.  Returns ``(mw, t0, edge, cloud)``; the cell's horizon
+    (the sweep's shared prefix node); when ``None`` — direct callers such
+    as the step-wise tests — the identical plan is computed inline.  Returns ``(mw, t0, edge, cloud)``; the cell's horizon
     is ``t0 + DAY + 2 * HOUR``.
     """
     t0 = mid_month_start(1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.core.middleware import DF3Middleware, MiddlewareConfig
 from repro.sim.calendar import DAY, SimCalendar

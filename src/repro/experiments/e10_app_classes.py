@@ -26,7 +26,7 @@ from repro.hardware.server import Task
 from repro.metrics.report import Table
 from repro.network.internet import WANLink, WANProfile
 from repro.obs import get_obs
-from repro.sim.calendar import DAY, HOUR
+from repro.sim.calendar import HOUR
 from repro.sim.engine import Engine
 
 __all__ = ["run"]

@@ -57,13 +57,11 @@ def _workload_plan(seed: int, sim_days: float):
 
 
 def _scale_point(n_districts: int, seed: int, sim_days: float,
-                 plan=None) -> Dict[str, float]:
+                 *, plan) -> Dict[str, float]:
     t0 = mid_month_start(1)
     mw = small_city(seed=seed, start_time=t0, n_districts=n_districts,
                     buildings_per_district=2, rooms_per_building=3,
                     saturation_policy=SaturationPolicy.PREEMPT)
-    if plan is None:
-        plan = _workload_plan(seed, sim_days)
     plans = dict(plan)
     rngs = RngRegistry(seed)
     edge = []

@@ -9,7 +9,6 @@ work, and the useful-heat dividend.
 
 from __future__ import annotations
 
-from repro.core.requests import CloudRequest
 from repro.experiments.common import ExperimentResult, mid_month_start, small_city
 from repro.hardware.datacenter import Datacenter
 from repro.metrics.energy import EnergyReport

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-import numpy as np
-
 from repro.core.requests import CloudRequest, EdgeMode, EdgeRequest
 from repro.core.scheduling.base import SaturationPolicy
 from repro.experiments.common import ExperimentResult, mid_month_start, small_city
 from repro.metrics.latency import LatencyStats
 from repro.metrics.report import Table
 from repro.network.lowpower import ENOCEAN, LORA, SIGFOX, ZIGBEE
-from repro.sim.calendar import DAY, MINUTE
+from repro.sim.calendar import MINUTE
 
 __all__ = ["run"]
 

@@ -17,7 +17,7 @@ from repro.experiments.common import ExperimentResult, mid_month_start, small_ci
 from repro.metrics.report import Table
 from repro.runner.runner import run_sweep
 from repro.runner.spec import SweepPoint, SweepPrefix, SweepSpec
-from repro.sim.calendar import HOUR, MINUTE
+from repro.sim.calendar import HOUR
 from repro.sim.rng import RngRegistry
 from repro.workloads.edge import EdgeWorkloadConfig, EdgeWorkloadGenerator
 
@@ -64,7 +64,7 @@ def _workload_plan(seed: int):
 
 
 def _scenario(architecture: str, dedicated: int, burst: bool, seed: int,
-              plan=None) -> Dict[str, float]:
+              *, plan) -> Dict[str, float]:
     t0 = mid_month_start(1)
     mw = small_city(
         seed=seed, start_time=t0, architecture=architecture,
@@ -72,8 +72,6 @@ def _scenario(architecture: str, dedicated: int, burst: bool, seed: int,
         saturation_policy=SaturationPolicy.QUEUE, enable_filler=False,
         dc_nodes=0,
     )
-    if plan is None:
-        plan = _workload_plan(seed)
     cloud_plan, steady_plan, burst_plan = plan
     # DCC background sized to ≈ the whole fleet's 2-hour cycle budget, so
     # the cluster is genuinely contended (the §III-B "cluster is full" regime)

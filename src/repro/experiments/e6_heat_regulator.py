@@ -23,7 +23,7 @@ from repro.core.regulation import HeatRegulator, RegulatorConfig
 from repro.experiments.common import ExperimentResult
 from repro.hardware.qrad import QRAD_SPEC
 from repro.metrics.report import Table
-from repro.sim.calendar import DAY, HOUR
+from repro.sim.calendar import DAY
 from repro.thermal.comfort import ComfortTracker
 from repro.thermal.rc_model import RCNetwork, RoomThermalParams
 

@@ -16,11 +16,11 @@ direct-request discussions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.core.requests import CloudRequest, EdgeRequest, Flow
+from repro.core.requests import EdgeRequest, Flow
 
 __all__ = ["Segment", "SegmentationPolicy", "IsolationAuditor", "Violation"]
 

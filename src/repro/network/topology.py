@@ -17,7 +17,7 @@ every edge carries a :class:`~repro.network.link.Link`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np

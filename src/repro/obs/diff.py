@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 __all__ = ["DiffEntry", "DiffReport", "diff_artifacts", "diff_files",
            "load_artifact"]

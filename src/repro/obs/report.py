@@ -315,7 +315,6 @@ def _gantt_panel(run_report: Dict[str, object]) -> str:
     header = ""
     if run_report.get("experiment"):
         header = (f"<p class='muted'>{_esc(run_report['experiment'])} · "
-                  f"backend {_esc(run_report.get('backend', '?'))} · "
                   f"jobs {_esc(run_report.get('jobs', '?'))} · "
                   f"{_esc(run_report.get('computed', 0))} computed / "
                   f"{_esc(run_report.get('cached', 0))} cached points</p>")

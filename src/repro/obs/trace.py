@@ -191,7 +191,7 @@ class Tracer:
 
         The allowlist still applies; returns the number of records kept.
         Records are appended in the order given — callers merge workers in
-        deterministic points order, so repeated merges are reproducible.
+        deterministic graph order, so repeated merges are reproducible.
         """
         kept = 0
         for r in records:

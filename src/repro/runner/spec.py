@@ -10,7 +10,7 @@ exporting a module-level ``SWEEP``::
     SWEEP = SweepSpec("A6", points=sweep_points, reduce=sweep_reduce)
 
     def run(seed: int = 101) -> ExperimentResult:
-        return run_sweep(SWEEP, seed=seed)    # serial, uncached — the old path
+        return run_sweep(SWEEP, seed=seed)    # serial, uncached
 
 Contract:
 
@@ -23,9 +23,9 @@ Contract:
 * ``reduce`` receives cells keyed by ``point_id`` **in points order** no
   matter which worker finished first, and must be a pure function of them.
 
-**Prefix stage** (the task-DAG extension).  A spec may additionally export a
-``prefixes`` factory declaring shared upstream work — workload plans, city
-blueprints, warm-up — as :class:`SweepPrefix` nodes::
+**Prefix stage.**  A spec may additionally export a ``prefixes`` factory
+declaring shared upstream work — workload plans, city blueprints, warm-up —
+as :class:`SweepPrefix` nodes::
 
     def sweep_prefixes(seed: int = 101) -> List[SweepPrefix]:
         return [SweepPrefix("A6", "workload-plan",
@@ -35,18 +35,22 @@ blueprints, warm-up — as :class:`SweepPrefix` nodes::
     SWEEP = SweepSpec("A6", points=sweep_points, reduce=sweep_reduce,
                       prefixes=sweep_prefixes)
 
-A point opts into a prefix via ``needs=(("plan", "workload-plan"),)``: under
-the DAG backend the prefix cell runs **once**, its value is cached per node
-and injected into each consuming point's cell as the named kwarg.  The cell
-must accept that kwarg with a ``None`` default and recompute the prefix
-itself when unset — that is what keeps the flat backend (and the historical
-serial path) byte-identical: ``cell(p, plan=None)`` computes exactly
-``prefix(...)`` inline, so both backends execute the same pure functions.
+A point opts into a prefix via ``needs=(("plan", "workload-plan"),)``: the
+runner turns the spec into a task graph (:func:`repro.runner.graph.graph_of`)
+in which the prefix cell runs **once**, its value is cached per node and
+injected into each consuming point's cell as the named kwarg.  The runner
+always injects the value, so a cell normally takes the kwarg as a required
+keyword (``cell(p, *, plan)``).  Only cells that also have direct callers
+keep a ``None`` default and then compute exactly ``prefix(...)`` inline:
+A6's cells (``tests/test_a6_trajectory.py``,
+``tests/service/test_stepwise_determinism.py``) and E3's ``_capacity_cell``
+(A5's ``_monthly_capacity``).
 
 Prefix cells must be **pure and globally inert**: deterministic in their
 params, touching no process-global state (in particular the request-id
 counter — a prefix that constructed request objects would shift every
-downstream id and break byte-identity between backends).
+downstream id and break byte-identity with a cell that computes the prefix
+inline).
 """
 
 from __future__ import annotations
@@ -62,10 +66,9 @@ __all__ = ["SweepPoint", "SweepPrefix", "SweepSpec", "sweep_of"]
 class SweepPrefix:
     """A shared upstream stage of a sweep (city construction, workload plan).
 
-    Computed once per distinct ``params`` under the DAG backend and fanned
-    out to every point that ``needs`` it; never executed by the flat backend
-    (whose point cells recompute it inline).  The cell must be pure: same
-    params → same value, no process-global side effects.
+    Computed once per distinct ``params`` as an upstream graph node and
+    fanned out to every point that ``needs`` it.  The cell must be pure:
+    same params → same value, no process-global side effects.
     """
 
     experiment_id: str
@@ -78,15 +81,6 @@ class SweepPrefix:
             raise ValueError(f"cell must be 'module:function', got {self.cell!r}")
         object.__setattr__(self, "params", tuple(sorted(self.params)))
 
-    def resolve(self) -> Callable[..., Any]:
-        """Import and return the prefix cell function."""
-        module_name, _, func_name = self.cell.partition(":")
-        return getattr(importlib.import_module(module_name), func_name)
-
-    def execute(self) -> Any:
-        """Run the prefix cell in this process."""
-        return self.resolve()(**dict(self.params))
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -96,8 +90,7 @@ class SweepPoint:
     callable so the spec pickles by name and hashes stably; ``params`` is a
     sorted tuple of ``(name, value)`` kwargs for that function.  ``needs``
     optionally maps extra kwarg names to :class:`SweepPrefix` ids whose
-    values the DAG backend injects (the flat backend leaves those kwargs at
-    their ``None`` defaults and the cell recomputes them inline).
+    values the runner injects.
     """
 
     experiment_id: str
@@ -112,23 +105,14 @@ class SweepPoint:
         object.__setattr__(self, "params", tuple(sorted(self.params)))
         object.__setattr__(self, "needs", tuple(sorted(self.needs)))
 
-    def resolve(self) -> Callable[..., Any]:
-        """Import and return the cell function this point references."""
-        module_name, _, func_name = self.cell.partition(":")
-        return getattr(importlib.import_module(module_name), func_name)
-
-    def execute(self) -> Any:
-        """Run the cell in this process (the serial / in-worker path)."""
-        return self.resolve()(**dict(self.params))
-
 
 @dataclass(frozen=True)
 class SweepSpec:
     """An experiment's decomposition: points factory + deterministic reduce.
 
     ``prefixes`` optionally declares the shared upstream stage (see the
-    module docstring); specs without one decompose into a flat fan-out
-    under either backend.
+    module docstring); specs without one decompose into a pure fan-out of
+    independent point nodes.
     """
 
     experiment_id: str

@@ -15,7 +15,7 @@ middleware's job is to generate that heat with useful computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Protocol, Sequence
 
 import numpy as np
 

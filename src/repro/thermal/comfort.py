@@ -84,7 +84,6 @@ class ComfortTracker:
         setpoints = np.broadcast_to(np.asarray(setpoints, dtype=float), temps.shape)
         err = temps - setpoints
         hours = dt / 3600.0
-        n = temps.size
         self._seconds += dt
         self._n_samples += 1
         self._in_band_weight += dt * float(np.mean(np.abs(err) <= self.band_c))

@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.sim.calendar import HOUR, SimCalendar
+from repro.sim.calendar import SimCalendar
 
 __all__ = ["sample_nhpp", "DiurnalProfile"]
 

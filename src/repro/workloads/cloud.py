@@ -16,7 +16,7 @@ Two shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 

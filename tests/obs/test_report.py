@@ -123,7 +123,7 @@ def _surrogate_records():
 
 def _run_report_payload():
     return {
-        "experiment": "E14", "backend": "dag", "jobs": 2,
+        "experiment": "E14", "jobs": 2,
         "computed": 3, "cached": 0,
         "backend_stats": {
             "executed": 4, "chunks_dispatched": 4, "chunk_steals": 4,
@@ -164,7 +164,7 @@ def test_gantt_panel_renders_from_run_report(records):
     assert "Orchestration" in html
     assert "Worker × node timeline" in html
     assert "nodes executed" in html and "chunk steals" in html
-    assert "E14" in html and "backend dag" in html
+    assert "E14" in html and "jobs 2" in html
     assert "pt-1" in html and "2 attempts" in html   # retried node flagged
     for svg in re.findall(r"<svg.*?</svg>", html, flags=re.S):
         ET.fromstring(svg)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import EXPERIMENTS, main
 from repro.obs import get_obs
 
@@ -32,12 +33,33 @@ def test_run_case_insensitive(capsys):
     assert "[A1]" in capsys.readouterr().out
 
 
-def test_run_with_seed_override(capsys):
-    assert main(["run", "A1", "--seed", "123"]) == 0
+@pytest.mark.parametrize("eid", ["A1", "E6"])   # E6's run() takes no seed
+def test_run_with_seed_override(eid, capsys):
+    assert main(["run", eid, "--seed", "123"]) == 0
     out1 = capsys.readouterr().out
-    assert main(["run", "A1", "--seed", "123"]) == 0
+    assert main(["run", eid, "--seed", "123"]) == 0
     out2 = capsys.readouterr().out
     assert out1.split("completed")[0] == out2.split("completed")[0]  # deterministic
+
+
+def _seed_sensitive_run(seed: int = 101) -> str:
+    """An experiment whose simulation raises TypeError off its default seed."""
+    if seed != 101:
+        raise TypeError(f"bad input deep inside the seed-{seed} simulation")
+    return "seed-101 table"
+
+
+def test_seeded_type_error_propagates(monkeypatch, capsys):
+    """A TypeError from a seeded run is an error, not a cue to rerun the
+    experiment at its default seed and print that table instead."""
+    monkeypatch.setattr(cli, "EXPERIMENTS", {})
+    monkeypatch.setattr(cli, "_registry",
+                        lambda: {"ZT": ("seed probe", _seed_sensitive_run)})
+    with pytest.raises(TypeError, match="seed-7"):
+        main(["run", "ZT", "--seed", "7", "--no-cache"])
+    assert "seed-101 table" not in capsys.readouterr().out
+    assert main(["run", "ZT", "--no-cache"]) == 0
+    assert "seed-101 table" in capsys.readouterr().out
 
 
 def test_registry_is_complete():

@@ -78,10 +78,10 @@ def test_golden_output(eid, fn, update_golden):
 
 
 # --------------------------------------------------------------------------- #
-# backend cross-product: every sweep-shaped experiment matches its golden
-# fixture under flat and dag, serial and parallel, cold and warm cache.
-# (Non-sweep experiments have no backend dimension: run_experiment falls
-# through to whole-result execution either way, already pinned above.)
+# jobs × cache matrix: every sweep-shaped experiment matches its golden
+# fixture serial and parallel, cold and warm cache.  (Non-sweep experiments
+# have no jobs dimension: run_experiment falls through to whole-result
+# execution, already pinned above.)
 # --------------------------------------------------------------------------- #
 _SWEEP_IDS = ("A4", "E4", "E14", "E3", "A6")
 
@@ -94,8 +94,8 @@ def _sweep_params():
 
 
 @pytest.mark.parametrize("eid", _sweep_params())
-def test_golden_identical_across_backends(eid, tmp_path):
-    """flat serial ≡ dag serial ≡ dag --jobs 2 ≡ dag warm cache ≡ fixture."""
+def test_golden_identical_across_jobs_and_cache(eid, tmp_path):
+    """serial ≡ --jobs 2 ≡ warm cache ≡ fixture."""
     from repro.runner import ResultCache, SweepRunner
 
     golden = (GOLDEN_DIR / f"{eid}.txt").read_text(encoding="utf-8")
@@ -103,17 +103,16 @@ def test_golden_identical_across_backends(eid, tmp_path):
     import importlib
     spec = getattr(importlib.import_module(fn.__module__), "SWEEP")
 
-    flat = SweepRunner(jobs=1, backend="flat").run_spec(spec)
-    assert str(flat.result) + "\n" == golden
+    serial = SweepRunner(jobs=1).run_spec(spec)
+    assert str(serial.result) + "\n" == golden
 
     cache = ResultCache(tmp_path / "cache")
-    dag_par = SweepRunner(jobs=2, cache=cache,
-                          backend="dag").run_spec(spec)
-    assert str(dag_par.result) + "\n" == golden
-    assert dag_par.computed == dag_par.points       # cold: all points ran
-    assert dag_par.computed_nodes == dag_par.nodes  # prefixes exactly once
+    parallel = SweepRunner(jobs=2, cache=cache).run_spec(spec)
+    assert str(parallel.result) + "\n" == golden
+    assert parallel.computed == parallel.points       # cold: all points ran
+    assert parallel.computed_nodes == parallel.nodes  # prefixes exactly once
 
-    warm = SweepRunner(jobs=1, cache=cache, backend="dag").run_spec(spec)
+    warm = SweepRunner(jobs=1, cache=cache).run_spec(spec)
     assert str(warm.result) + "\n" == golden
     assert warm.fully_cached and warm.computed_nodes == 0
 

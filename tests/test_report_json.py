@@ -30,10 +30,9 @@ from repro.runner import RunReport, SweepRunner
 # RunReport.to_dict / from_dict
 # --------------------------------------------------------------------------- #
 def test_run_report_round_trips_through_dict():
-    report = SweepRunner(jobs=1, backend="dag").run_spec(e14_scale.SWEEP)
+    report = SweepRunner(jobs=1).run_spec(e14_scale.SWEEP)
     d = report.to_dict()
     assert d["experiment"] == "E14"
-    assert d["backend"] == "dag"
     assert d["jobs"] == 1
     assert d["points"] == report.points
     assert d["computed_nodes"] == report.computed_nodes

@@ -46,7 +46,7 @@ def _fanout_graph() -> TaskGraph:
 def _traced_sweep(jobs: int):
     tracer = O.Tracer()
     with O.obs_session(O.Observability(tracer=tracer)) as obs:
-        report = SweepRunner(jobs=jobs, backend="dag", obs=obs).run_spec(
+        report = SweepRunner(jobs=jobs, obs=obs).run_spec(
             e14_scale.SWEEP)
     return report, [r.to_dict() for r in tracer.iter_records()]
 
@@ -146,7 +146,7 @@ def test_process_backend_timeline_records_worker_lifecycle():
 
 def test_deterministic_stats_fields_match_across_jobs():
     """executed and the timeline's (node, kind) sequence are jobs-invariant."""
-    reports = {jobs: SweepRunner(jobs=jobs, backend="dag").run_spec(
+    reports = {jobs: SweepRunner(jobs=jobs).run_spec(
         e14_scale.SWEEP) for jobs in (1, 4)}
     s1, s4 = reports[1].backend_stats, reports[4].backend_stats
     assert s1 is not None and s4 is not None

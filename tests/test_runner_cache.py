@@ -53,7 +53,7 @@ def test_corrupt_node_entry_degrades_to_miss_and_recomputes(tmp_path):
     cache = ResultCache(tmp_path / "dagcache")
     spec = e3.SWEEP
     kwargs = dict(days_per_month=0.02, seed=5)
-    cold = SweepRunner(jobs=1, cache=cache, backend="dag").run_spec(
+    cold = SweepRunner(jobs=1, cache=cache).run_spec(
         spec, **kwargs)
     assert cold.computed == cold.points == 24
     assert cold.computed_nodes == 26        # 24 months + 2 fleet blueprints
@@ -63,7 +63,7 @@ def test_corrupt_node_entry_degrades_to_miss_and_recomputes(tmp_path):
     victim = graph.points()[0].node_id
     cache._path(node_key(graph, victim)).write_bytes(b"\x00 not a pickle")
 
-    warm = SweepRunner(jobs=1, cache=cache, backend="dag").run_spec(
+    warm = SweepRunner(jobs=1, cache=cache).run_spec(
         spec, **kwargs)
     assert warm.result.text == cold.result.text
     assert warm.computed == 1               # only the corrupted point re-ran

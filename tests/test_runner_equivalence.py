@@ -32,6 +32,7 @@ FAST_SWEEPS = [
 ]
 
 
+@pytest.mark.dag
 @pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
 def test_serial_parallel_cached_equivalence(tmp_path, mod, kwargs):
     serial = SweepRunner(jobs=1).run_spec(mod.SWEEP, **kwargs)
@@ -49,32 +50,9 @@ def test_serial_parallel_cached_equivalence(tmp_path, mod, kwargs):
 
 
 @pytest.mark.dag
-@pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
-def test_backend_cross_equivalence(tmp_path, mod, kwargs):
-    """flat × dag × serial × parallel × warm cache: one text, byte for byte."""
-    reference = SweepRunner(jobs=1, backend="flat").run_spec(
-        mod.SWEEP, **kwargs).result.text
-
-    flat_cache = ResultCache(tmp_path / "flat")
-    dag_cache = ResultCache(tmp_path / "dag")
-    runs = {
-        "flat/jobs=2": SweepRunner(jobs=2, cache=flat_cache, backend="flat"),
-        "dag/jobs=1": SweepRunner(jobs=1, backend="dag"),
-        "dag/jobs=2": SweepRunner(jobs=2, cache=dag_cache, backend="dag"),
-        "dag/warm": SweepRunner(jobs=1, cache=dag_cache, backend="dag"),
-        "flat/warm": SweepRunner(jobs=1, cache=flat_cache, backend="flat"),
-    }
-    for label, runner in runs.items():
-        report = runner.run_spec(mod.SWEEP, **kwargs)
-        assert report.result.text == reference, f"{label} diverged"
-        if label.endswith("warm"):
-            assert report.fully_cached, f"{label} recomputed something"
-
-
-@pytest.mark.dag
 def test_dag_backend_deduplicates_shared_prefixes():
     """E3's two fleet blueprints each run once for their twelve months."""
-    report = SweepRunner(jobs=1, backend="dag").run_spec(
+    report = SweepRunner(jobs=1).run_spec(
         e3_seasonal_capacity.SWEEP, days_per_month=0.05)
     assert report.points == 24
     assert report.nodes == 26               # + 2 per-flavour blueprints
@@ -82,16 +60,13 @@ def test_dag_backend_deduplicates_shared_prefixes():
 
 
 @pytest.mark.dag
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "flat")
-    assert SweepRunner().backend == "flat"
-    monkeypatch.setenv("REPRO_BACKEND", "dag")
-    assert SweepRunner().backend == "dag"
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert SweepRunner().backend == "dag"   # the default
-    monkeypatch.setenv("REPRO_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="REPRO_BACKEND"):
-        SweepRunner()
+@pytest.mark.parametrize("backend", ["flat", "bogus"])
+def test_task_graph_is_the_only_backend(backend):
+    """``backend`` survives only as a keyword for existing callers: "dag"
+    is accepted and selects nothing; the deleted flat pool is an error."""
+    assert SweepRunner(backend="dag") == SweepRunner()
+    with pytest.raises(ValueError, match=backend):
+        SweepRunner(backend=backend)
 
 
 @pytest.mark.parametrize("mod,kwargs", FAST_SWEEPS)
@@ -106,17 +81,15 @@ def test_cache_key_depends_on_kwargs(tmp_path, mod, kwargs):
 def test_surrogate_kernel_serial_parallel_cached_equivalence(
         tmp_path, monkeypatch):
     """The determinism contract holds under the surrogate tier too: jobs=1,
-    jobs=2, flat, dag and a warm cache hit all emit one text byte for byte
-    when ``REPRO_KERNEL=surrogate`` (workers inherit the env var)."""
+    jobs=2 and a warm cache hit all emit one text byte for byte when
+    ``REPRO_KERNEL=surrogate`` (workers inherit the env var)."""
     monkeypatch.setenv("REPRO_KERNEL", "surrogate")
-    reference = SweepRunner(jobs=1, backend="flat").run_spec(
-        e14_scale.SWEEP).result.text
+    reference = SweepRunner(jobs=1).run_spec(e14_scale.SWEEP).result.text
 
     cache = ResultCache(tmp_path / "cache")
     runs = {
-        "flat/jobs=2": SweepRunner(jobs=2, cache=cache, backend="flat"),
-        "dag/jobs=1": SweepRunner(jobs=1, backend="dag"),
-        "flat/warm": SweepRunner(jobs=1, cache=cache, backend="flat"),
+        "jobs=2": SweepRunner(jobs=2, cache=cache),
+        "warm": SweepRunner(jobs=1, cache=cache),
     }
     for label, runner in runs.items():
         report = runner.run_spec(e14_scale.SWEEP)
@@ -156,19 +129,6 @@ def test_cli_jobs_byte_identical(tmp_path, capsys):
     assert main(["run", "E14", "--jobs", "2", "--no-cache"]) == 0
     parallel = capsys.readouterr().out.split("(E14 completed")[0]
     assert parallel == serial
-
-
-@pytest.mark.dag
-def test_cli_backend_flag_byte_identical(capsys):
-    """`run E4 --backend flat` ≡ `--backend dag`, serial and parallel."""
-    blocks = {}
-    for backend in ("flat", "dag"):
-        for jobs in ("1", "2"):
-            assert main(["run", "E4", "--backend", backend,
-                         "--jobs", jobs, "--no-cache"]) == 0
-            blocks[f"{backend}/{jobs}"] = \
-                capsys.readouterr().out.split("(E4 completed")[0]
-    assert len(set(blocks.values())) == 1, blocks.keys()
 
 
 def test_parallel_trace_merge_byte_identical():

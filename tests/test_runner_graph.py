@@ -206,6 +206,10 @@ def test_editing_a_prefix_rekeys_its_consumers_only():
     assert changed == {"shared", "left", "right"}   # lonely is untouched
 
 
+def _key_of(node: TaskNode) -> str:
+    return node_key(TaskGraph([node]), node.node_id)
+
+
 def test_node_keys_separate_siblings_and_kinds():
     graph = _prefix_fanout()
     keys = {node_key(graph, nid) for nid in graph.node_ids}
@@ -215,6 +219,24 @@ def test_node_keys_separate_siblings_and_kinds():
                                    "tests.test_runner_graph:_double",
                                    params=(("x", 21),), kind="point")])
     assert node_key(as_point, "shared") != node_key(graph, "shared")
+    # the key moves with every field of the spec that can change a value
+    base = TaskNode("E4", "steady/shared",
+                    "repro.experiments.e4_architectures:_scenario",
+                    params=(("seed", 23), ("burst", False)))
+    variants = [
+        TaskNode("E4", "steady/shared", base.cell,
+                 params=(("seed", 24), ("burst", False))),
+        TaskNode("E5", "steady/shared", base.cell, params=base.params),
+        TaskNode("E4", "steady/shared",
+                 "repro.experiments.e14_scale:_scale_point",
+                 params=base.params),
+    ]
+    assert len({_key_of(n) for n in [base, *variants]}) == 4
+    # ...and only with those: param order is canonical and the node id is
+    # not key material, so equal specs share one cache entry
+    reordered = TaskNode("E4", "burst/shared", base.cell,
+                         params=(("burst", False), ("seed", 23)))
+    assert _key_of(reordered) == _key_of(base)
 
 
 def test_node_key_memo_is_consistent():
@@ -308,7 +330,7 @@ def test_a6_dag_computes_shared_prefix_exactly_once(monkeypatch):
     spec = SweepSpec("A6", points=a6.sweep_points,
                      reduce=lambda cells, seed=101: cells,
                      prefixes=a6.sweep_prefixes)
-    report = SweepRunner(jobs=1, backend="dag").run_spec(spec, seed=101)
+    report = SweepRunner(jobs=1).run_spec(spec, seed=101)
     assert report.points == 21
     assert report.nodes == 22            # 21 grid cells + 1 shared prefix
     assert report.computed_nodes == 22
