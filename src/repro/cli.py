@@ -6,8 +6,13 @@ Usage::
     python -m repro run F4               # run one experiment, print its table
     python -m repro run all              # run every experiment
     python -m repro run E5 --seed 123    # override the seed
-    python -m repro run E14 --kernel scalar   # reference (non-vectorised) kernel
     python -m repro run E3 --kernel surrogate # district-aggregate surrogate tier
+
+``--kernel`` picks the simulation kernel: ``vector`` (the default, and the
+one exact kernel, pinned by the golden fixtures) or ``surrogate`` (the
+tolerance-budgeted district-aggregate tier).  It is exported as
+``$REPRO_KERNEL`` for the duration of the command, so sweep worker
+processes inherit it, and the caller's value is restored afterwards.
 
 Parallelism and caching (see DESIGN.md, "Sweep runner")::
 
@@ -83,11 +88,12 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs as obs_mod
+from repro.core.middleware import KERNELS, resolve_kernel
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -274,12 +280,10 @@ def main(argv=None) -> int:
                       help="print per-subsystem wall-clock profile")
     runp.add_argument("--metrics-out", metavar="PATH", default=None,
                       help="write the metrics registry snapshot as JSON")
-    runp.add_argument("--kernel", choices=("scalar", "vector", "surrogate"),
-                      default=None,
+    runp.add_argument("--kernel", choices=KERNELS, default=None,
                       help="simulation kernel (default: $REPRO_KERNEL or "
-                           "'vector'; scalar/vector are byte-identical, "
-                           "surrogate is tolerance-budgeted — see "
-                           "repro.thermal.budget)")
+                           "'vector', the exact kernel; surrogate is "
+                           "tolerance-budgeted — see repro.thermal.budget)")
     runp.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for sweep experiments (default 1)")
     runp.add_argument("--progress", action="store_true",
@@ -325,8 +329,7 @@ def main(argv=None) -> int:
                       help="trace ring-buffer capacity (default 65536)")
     srvp.add_argument("--start-paused", action="store_true",
                       help="boot holding at t0; resume via POST /api/control")
-    srvp.add_argument("--kernel", choices=("scalar", "vector", "surrogate"),
-                      default=None,
+    srvp.add_argument("--kernel", choices=KERNELS, default=None,
                       help="simulation kernel (default: $REPRO_KERNEL or "
                            "'vector')")
     srvp.add_argument("--verbose", action="store_true",
@@ -357,10 +360,42 @@ def main(argv=None) -> int:
     difp.add_argument("--json", metavar="PATH", default=None,
                       help="also write the diff report as JSON")
     args = parser.parse_args(argv)
+    with _kernel_env(getattr(args, "kernel", None)):
+        return _run_command(args)
+
+
+@contextmanager
+def _kernel_env(kernel: Optional[str]):
+    """Export ``--kernel`` as ``$REPRO_KERNEL`` for one command.
+
+    Sweep worker processes inherit the choice through the environment; the
+    caller's value (or its absence) is restored on the way out, so an
+    in-process ``main([...])`` never changes the kernel of later cities.
+    """
+    if kernel is None:
+        yield
+        return
+    old = os.environ.get("REPRO_KERNEL")
+    os.environ["REPRO_KERNEL"] = kernel
+    try:
+        yield
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_KERNEL", None)
+        else:
+            os.environ["REPRO_KERNEL"] = old
+
+
+def _run_command(args) -> int:
+    """Execute one parsed command; returns a process exit code."""
+    if args.command in ("run", "serve"):
+        try:
+            resolve_kernel(args.kernel)     # also vets $REPRO_KERNEL
+        except ValueError as exc:
+            print(f"bad kernel: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "serve":
-        if args.kernel is not None:
-            os.environ["REPRO_KERNEL"] = args.kernel
         from repro.service import ScenarioConfig, TwinConfig, build_twin, serve
 
         try:
@@ -453,9 +488,6 @@ def main(argv=None) -> int:
         print(f"--flight-recorder must be >= 1, got {args.flight_recorder}",
               file=sys.stderr)
         return 2
-    if args.kernel is not None:
-        # via the environment so sweep worker processes inherit the choice
-        os.environ["REPRO_KERNEL"] = args.kernel
     ids = list(EXPERIMENTS) if args.experiment.lower() == "all" else [args.experiment.upper()]
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:

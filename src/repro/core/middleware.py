@@ -65,11 +65,12 @@ from repro.thermal.hydronics import WaterLoop, WaterLoopConfig
 from repro.thermal.rc_model import RoomThermalParams
 from repro.thermal.weather import Weather, WeatherConfig
 
-__all__ = ["MiddlewareConfig", "DF3Middleware", "resolve_kernel"]
+__all__ = ["KERNELS", "MiddlewareConfig", "DF3Middleware", "resolve_kernel"]
 
 _GHZ = 1e9
 
-_KERNELS = ("scalar", "vector", "surrogate")
+#: the simulation kernels: the exact one, and the tolerance-budgeted tier
+KERNELS = ("vector", "surrogate")
 
 
 def resolve_kernel(value: Optional[str] = None) -> str:
@@ -77,15 +78,14 @@ def resolve_kernel(value: Optional[str] = None) -> str:
 
     ``value`` is :attr:`MiddlewareConfig.kernel`; when None the
     ``REPRO_KERNEL`` environment variable applies (how the CLI's ``--kernel``
-    flag reaches pool workers), and the default is ``"vector"``.  The scalar
-    and vector kernels are byte-identical by contract (DESIGN.md §2.13);
-    ``"scalar"`` is the reference implementation.  The ``"surrogate"`` tier
-    (DESIGN.md §2.18) trades a declared tolerance budget
+    flag reaches pool workers), and the default is ``"vector"``, the one
+    exact kernel (DESIGN.md §2.13).  The ``"surrogate"`` tier (DESIGN.md
+    §2.18) runs on the same substrate and trades a declared tolerance budget
     (:mod:`repro.thermal.budget`) for district-aggregate speed.
     """
     kernel = value or os.environ.get("REPRO_KERNEL") or "vector"
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
     return kernel
 
 
@@ -125,17 +125,17 @@ class MiddlewareConfig:
     #: arm churn + recovery (None = no resilience machinery at all; runs are
     #: byte-identical to builds without the subsystem)
     resilience: Optional[ResilienceConfig] = None
-    #: simulation kernel: "scalar" | "vector" | "surrogate" | None
-    #: (= ``REPRO_KERNEL`` env or the "vector" default).  Scalar and vector
-    #: outputs are byte-identical; surrogate is tolerance-budgeted.
+    #: simulation kernel: "vector" | "surrogate" | None (= ``REPRO_KERNEL``
+    #: env or the "vector" default).  Vector is exact; surrogate is
+    #: tolerance-budgeted.
     kernel: Optional[str] = None
     #: surrogate-tier knobs (warm-up window, sample size, checkpoint cadence);
     #: only consulted when the resolved kernel is "surrogate"
     surrogate: Optional[SurrogateConfig] = None
 
     def __post_init__(self) -> None:
-        if self.kernel is not None and self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {_KERNELS}")
+        if self.kernel is not None and self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNELS}")
         if self.architecture not in ("shared", "dedicated"):
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.architecture == "dedicated" and not (
@@ -161,12 +161,9 @@ class DF3Middleware:
         cfg = config
         self.obs = obs if obs is not None else get_obs()
         self.engine = Engine(start=cfg.start_time, **self.obs.engine_hooks())
-        #: resolved kernel for this city ("scalar" | "vector" | "surrogate");
-        #: resolved before any server exists, because servers adopt the
-        #: engine's incremental-accounting mode at construction time.  The
-        #: surrogate tier runs on the vector substrate (bank + fused arrays).
+        #: resolved kernel for this city ("vector" | "surrogate"); the
+        #: surrogate tier runs on the vector substrate (bank + fused arrays)
         self.kernel = resolve_kernel(cfg.kernel)
-        self.engine.incremental_accounting = self.kernel != "scalar"
         self.rngs = RngRegistry(cfg.seed)
         self.cal = SimCalendar()
         self.weather = Weather(
@@ -200,7 +197,6 @@ class DF3Middleware:
         self.dcc_gateways: Dict[int, DCCGateway] = {}
         self.regulators: Dict[str, HeatRegulator] = {}   # room name → regulator
         self.collectives: Dict[str, CollectiveController] = {}  # building → ctrl
-        self._server_room: Dict[str, str] = {}           # server name → room name
         self._source_district: Dict[str, int] = {}       # request source → district
         self._room_server: Dict[str, QRad] = {}
         self.boilers: List[DigitalBoiler] = []
@@ -208,9 +204,9 @@ class DF3Middleware:
         self._filler_ids = itertools.count()
         self.filler_completed = 0
 
-        bank = FleetRegulatorBank() if self.kernel != "scalar" else None
-        self._bank: Optional[FleetRegulatorBank] = bank
-        #: bank index → (qrad, district); only populated on the vector kernel
+        bank = FleetRegulatorBank()
+        self._bank = bank
+        #: bank index → (qrad, district)
         self._bank_entries: List[Tuple[QRad, int]] = []
         self._district_qrad_idx: Dict[int, List[int]] = {}
         self._district_boilers: Dict[int, List[DigitalBoiler]] = {}
@@ -247,12 +243,10 @@ class DF3Middleware:
                         reg.observer = self._regulator_observer(room.name, d)
                     self.regulators[room.name] = reg
                     building_regs.append(reg)
-                    self._server_room[qrad.name] = room.name
                     self._room_server[room.name] = qrad
                     self.smartgrid.register(qrad, reg)
-                    if bank is not None:
-                        self._district_qrad_idx[d].append(bank.attach(reg))
-                        self._bank_entries.append((qrad, d))
+                    self._district_qrad_idx[d].append(bank.attach(reg))
+                    self._bank_entries.append((qrad, d))
                     cluster.add_worker(qrad, dedicated_edge=dedicated_left > 0)
                     dedicated_left -= 1
                 self.collectives[bname] = CollectiveController(building_regs)
@@ -280,7 +274,6 @@ class DF3Middleware:
                 offloader=self.offloader,
                 decision_system=decision,
                 worker_priority=self._worker_priority,
-                incremental_scans=self.kernel != "scalar",
                 obs=self.obs,
             )
             if cfg.architecture == "shared":
@@ -309,40 +302,28 @@ class DF3Middleware:
             w for c in self.clusters.values() for w in c.workers
         ]
 
-        #: city-fused thermal stepping (vector kernel only; None when the
-        #: city's buildings cannot be fused — the tick then falls back to
-        #: per-building stepping, still byte-identical)
-        self._fused_thermal: Optional[FusedCityThermal] = None
-        if bank is not None:
-            bank.freeze()
-            self.smartgrid.attach_bank(bank)
-            fused = FusedCityThermal(list(self.buildings.values()))
-            if fused.compatible and fused.n == len(bank):
-                self._fused_thermal = fused
-            # the three tick stages share one fused heap event per period —
-            # the same single "df3-tick" dispatch the scalar kernel schedules,
-            # so event counts, sequence numbers and labels stay identical
-            self.engine.add_process(
-                "df3-regulation", cfg.thermal_tick_s, self._tick_regulation,
-                group="df3-tick")
-            self.engine.add_process(
-                "df3-workload", cfg.thermal_tick_s, self._tick_workload,
-                group="df3-tick")
-            self.engine.add_process(
-                "df3-thermal", cfg.thermal_tick_s, self._tick_thermal,
-                group="df3-tick")
-        else:
-            self.engine.add_process("df3-tick", cfg.thermal_tick_s, self._tick)
+        bank.freeze()
+        self.smartgrid.attach_bank(bank)
+        #: city-fused thermal stepping: every building is built uncoupled,
+        #: with one weather and ``rooms_per_building`` rooms, so the whole
+        #: city always fuses into one (buildings × rooms) grid
+        self._fused_thermal = FusedCityThermal(list(self.buildings.values()))
+        # the three tick stages share one fused heap event per period: one
+        # "df3-tick" dispatch, with the stages timed under their own labels
+        self.engine.add_process(
+            "df3-regulation", cfg.thermal_tick_s, self._tick_regulation,
+            group="df3-tick")
+        self.engine.add_process(
+            "df3-workload", cfg.thermal_tick_s, self._tick_workload,
+            group="df3-tick")
+        self.engine.add_process(
+            "df3-thermal", cfg.thermal_tick_s, self._tick_thermal,
+            group="df3-tick")
 
         #: reduced-order tier (kernel == "surrogate" only); constructed after
         #: the fused substrate so it can validate fleet homogeneity
         self.surrogate: Optional[SurrogateController] = None
         if self.kernel == "surrogate":
-            if self._fused_thermal is None:
-                raise ValueError(
-                    "surrogate kernel requires a fusable city "
-                    "(uncoupled rooms, one weather, uniform sub-stepping)"
-                )
             self.surrogate = SurrogateController(self, cfg.surrogate)
 
         self.resilience: Optional[RecoveryRuntime] = None
@@ -430,21 +411,12 @@ class DF3Middleware:
     # placement priority: servers whose room wants heat go first
     # ------------------------------------------------------------------ #
     def _worker_priority(self, server) -> tuple:
-        if self._bank is not None:
-            wanted = self._qrad_wanted_map().get(server.name)
-            if wanted is None:  # boiler: tank state changes continuously
-                wanted = any(
-                    b.name == server.name and b.heat_demand_w() > 0
-                    for b in self.boilers
-                )
-            return (0 if wanted else 1, -server.free_cores)
-        room = self._server_room.get(server.name)
-        if room is None:  # boiler: wants heat while the tank has headroom
+        wanted = self._qrad_wanted_map().get(server.name)
+        if wanted is None:  # boiler: wants heat while the tank has headroom
             wanted = any(
-                b.name == server.name and b.heat_demand_w() > 0 for b in self.boilers
+                b.name == server.name and b.heat_demand_w() > 0
+                for b in self.boilers
             )
-        else:
-            wanted = self.regulators[room].heat_wanted
         return (0 if wanted else 1, -server.free_cores)
 
     def _qrad_wanted_map(self) -> Dict[str, bool]:
@@ -471,33 +443,13 @@ class DF3Middleware:
     # ------------------------------------------------------------------ #
     # the periodic tick: regulation, migration, filler, thermal stepping
     # ------------------------------------------------------------------ #
-    def _tick(self, now: float, dt: float) -> None:
-        """Scalar kernel: all six tick stages as one process callback."""
-        # 1) regulators observe their rooms (collective controllers first:
-        #    they rebalance per-room targets toward the requested mean)
-        for bname, building in self.buildings.items():
-            temps = building.temperatures
-            ctrl = self.collectives.get(bname)
-            if ctrl is not None and ctrl.active:
-                ctrl.update(temps)
-            for room in building.rooms:
-                self.regulators[room.name].update(dt, float(temps[room.index]))
-        # 2) fleet coordination actuates DVFS caps / power states
-        self.smartgrid.tick(now, dt)
-        # 3+4) migration and filler
-        self._tick_workload(now, dt)
-        # 5+6) thermal fabric + metric sampling
-        self._tick_thermal(now, dt)
-
     def _tick_regulation(self, now: float, dt: float) -> None:
-        """Vector kernel, stage 1+2: PI bank step + fleet coordination.
+        """Stage 1+2: PI bank step + fleet coordination.
 
-        Collective controllers run first, building by building, exactly as
-        the scalar tick interleaves them; they only write setpoints (through
-        the attached regulators into the bank arrays), so hoisting the PI
-        updates out of the per-building loop into one bank pass observes the
-        same setpoints — and fires the observers in the same attach order the
-        scalar loop would.
+        Collective controllers run first, building by building; they only
+        write setpoints (through the attached regulators into the bank
+        arrays), so the one bank pass that follows observes their targets
+        and fires the regulator observers in attach order.
         """
         sur = self.surrogate
         if sur is not None and sur.begin_tick(now):
@@ -520,76 +472,35 @@ class DF3Middleware:
             # drain + power off newly aggregated districts; quiesced servers
             # report 0 free cores, so migration/filler skip them naturally
             self.surrogate.quiesce_pending()
-        vec = self._bank is not None
         if self.config.hybrid_migration:
-            if vec:
-                self._migrate_cold_servers_vec()
-            else:
-                self._migrate_cold_servers()
+            self._migrate_cold_servers()
         if self.config.enable_filler:
-            if vec:
-                self._inject_filler_vec()
-            else:
-                self._inject_filler()
+            self._inject_filler()
 
     def _tick_thermal(self, now: float, dt: float) -> None:
-        """Stage 5+6: thermal fabric advances, then metric sampling."""
+        """Stage 5+6: one fused RC step for the whole city, then metrics.
+
+        Comfort is sampled once per building (one row of the fused grid)
+        and the useful-heat ledger is walked in room order, so the
+        accumulators fold in a fixed order.
+        """
         sur = self.surrogate
         if sur is not None and sur.switched:
             sur.tick_thermal(now, dt)
-            hod = self.cal.hour_of_day(now)
-            for boiler in self.boilers:
-                boiler.thermal_step(now, dt, hod)
-            if self.datacenter is not None:
-                self.datacenter.account_heat(dt)
-            if self.obs.active:
-                self._tick_metrics(now)
-            return
-        if self._fused_thermal is not None:
-            self._tick_thermal_vec(now, dt)
-            return
-        hod = self.cal.hour_of_day(now)
-        for bname, building in self.buildings.items():
-            building.step(now, dt)
-            setpoints = [self.regulators[r.name].setpoint_c for r in building.rooms]
-            self.comfort.add(dt, building.temperatures, setpoints,
-                             month=self.cal.month(now))
-            for room in building.rooms:
-                p = room.heater_power_w()
-                if p > 0 and self.regulators[room.name].heat_wanted:
-                    self.ledger.add_useful_heat(p * dt)
-        for boiler in self.boilers:
-            boiler.thermal_step(now, dt, hod)
-        if self.datacenter is not None:
-            self.datacenter.account_heat(dt)
-        if self.obs.active:
-            self._tick_metrics(now)
-
-    def _tick_thermal_vec(self, now: float, dt: float) -> None:
-        """Vector kernel stage 5+6: one fused RC step for the whole city.
-
-        Per-building comfort samples and the room-order useful-heat ledger
-        walk are preserved exactly (same accumulators, same fold order), so
-        the resulting statistics are bitwise those of the scalar loop.
-        """
-        fused = self._fused_thermal
-        p_heat = fused.step(now, dt)
-        if self.surrogate is not None:
-            self.surrogate.record_warmup(p_heat)
-        month = self.cal.month(now)
-        setpoints = self._bank.setpoints
-        if fused.uniform:
+        else:
+            fused = self._fused_thermal
+            p_heat = fused.step(now, dt)
+            if sur is not None:
+                sur.record_warmup(p_heat)
             nb = len(fused.buildings)
             self.comfort.add_rows(dt, fused.t_air.reshape(nb, -1),
-                                  setpoints.reshape(nb, -1), month=month)
-        else:
-            for sl in fused.slices:
-                self.comfort.add(dt, fused.t_air[sl], setpoints[sl], month=month)
-        wanted = self._bank.heat_wanted_mask().tolist()
-        add_useful = self.ledger.add_useful_heat
-        for p, w in zip(p_heat, wanted):
-            if p > 0 and w:
-                add_useful(p * dt)
+                                  self._bank.setpoints.reshape(nb, -1),
+                                  month=self.cal.month(now))
+            wanted = self._bank.heat_wanted_mask().tolist()
+            add_useful = self.ledger.add_useful_heat
+            for p, w in zip(p_heat, wanted):
+                if p > 0 and w:
+                    add_useful(p * dt)
         hod = self.cal.hour_of_day(now)
         for boiler in self.boilers:
             boiler.thermal_step(now, dt, hod)
@@ -603,35 +514,9 @@ class DF3Middleware:
 
         The Qarnot hybrid infrastructure (§III-A): boards turn off when no
         heat is requested, and pending Internet work continues in the
-        datacenter.
-        """
-        for d, sched in self.schedulers.items():
-            for w in self.clusters[d].workers:
-                room = self._server_room.get(w.name)
-                if room is None or self.regulators[room].heat_wanted:
-                    continue
-                for task in list(w.running_tasks):
-                    kind = task.metadata.get("kind")
-                    if kind == "filler":
-                        w.preempt(task.task_id)
-                    elif kind == "cloud" and task.metadata["request"].preemptible:
-                        t = w.preempt(task.task_id)
-                        creq = t.metadata["request"]
-                        creq.cycles = max(t.remaining_cycles, 1.0)
-                        if self.offloader.can_vertical(creq):
-                            self.offloader.vertical(creq, sched)
-                            sched.stats.cloud_offloaded_vertical += 1
-                        else:
-                            sched.cloud_queue.push_front(creq)
-
-    def _migrate_cold_servers_vec(self) -> None:
-        """Vector kernel: visit only the cold, non-idle Q.rads.
-
-        The scalar loop walks every worker of every district and skips the
-        heat-wanted ones; here the cold set comes straight off the bank's
-        mask.  Bank order is district-major and matches the scalar visit
-        order, so preemptions and vertical offloads happen in the same
-        sequence.
+        datacenter.  Only the cold, non-idle Q.rads are visited, in bank
+        order (district-major), so preemptions and vertical offloads happen
+        in a fixed sequence.
         """
         entries = self._bank_entries
         for i in np.flatnonzero(~self._bank.heat_wanted_mask()).tolist():
@@ -654,32 +539,12 @@ class DF3Middleware:
                         sched.cloud_queue.push_front(creq)
 
     def _inject_filler(self) -> None:
-        for server in self.smartgrid.heat_wanted_servers():
-            while server.free_cores > 0:
-                chunk = Task(
-                    task_id=f"filler-{next(self._filler_ids)}",
-                    work_cycles=(
-                        server.core_rate_cycles_per_s() or server.spec.ladder.top.freq_ghz * _GHZ
-                    )
-                    * self.config.filler_chunk_s,
-                    cores=1,
-                    on_complete=lambda t, now: self._filler_done(),
-                    metadata={"kind": "filler"},
-                )
-                if not server.submit(chunk):
-                    break
-                if self.obs.active:
-                    self.obs.counter("filler_injected").inc()
+        """Fill every free core of each heat-wanted server with one-core chunks.
 
-    def _inject_filler_vec(self) -> None:
-        """Vector kernel: one batched submit per heat-wanted server.
-
-        The scalar loop submits chunk by chunk, each paying a sync and a
-        completion cancel/reschedule; a powered-on server with ``f`` free
-        cores accepts exactly ``f`` one-core chunks, so pre-building the
-        batch consumes the same filler ids and :meth:`ComputeServer.
-        submit_batch` reserves the sequence numbers the per-chunk path would
-        have burned — the surviving completion event is bit-identical.
+        One batched submit per server: a powered-on server with ``f`` free
+        cores accepts exactly ``f`` chunks, and :meth:`ComputeServer.
+        submit_batch` reserves the sequence numbers chunk-by-chunk submits
+        would have burned, so the surviving completion event is the same.
         """
         chunk_s = self.config.filler_chunk_s
         obs_active = self.obs.active
@@ -702,9 +567,6 @@ class DF3Middleware:
                 self.obs.counter("filler_injected").inc(accepted)
 
     def _filler_chunk_done(self, task: Task, now: float) -> None:
-        self._filler_done()
-
-    def _filler_done(self) -> None:
         self.filler_completed += 1
 
     # ------------------------------------------------------------------ #
@@ -759,27 +621,17 @@ class DF3Middleware:
         where heat is requested); falls back to round-robin on ties.
         """
         if district is None:
-            if self._bank is not None:
-                district = self._route_cloud_vec()
-            else:
-                district = max(
-                    self.clusters,
-                    key=lambda d: sum(
-                        w.free_cores
-                        for w in self.clusters[d].workers
-                        if self._wants_heat(w)
-                    ),
-                )
+            district = self._route_cloud()
         if self.surrogate is not None:
             self.surrogate.ensure_live(district, reason="cloud")
         self.dcc_gateways[district].submit(req)
 
-    def _route_cloud_vec(self) -> int:
-        """Vector kernel: heat-authorised-capacity routing off the bank mask.
+    def _route_cloud(self) -> int:
+        """The district with the most heat-authorised free cores.
 
-        Same argmax as the scalar ``max(...)`` — integer core sums, first
-        district wins ties (``>`` keeps the earliest maximum, as ``max`` over
-        the dict's insertion order does).
+        Integer core sums off the bank mask (plus boilers with tank
+        headroom); the first district wins ties (``>`` keeps the earliest
+        maximum).
         """
         wanted = self._bank.heat_wanted_mask().tolist()
         entries = self._bank_entries
@@ -796,12 +648,6 @@ class DF3Middleware:
             if total > best:
                 best_d, best = d, total
         return best_d
-
-    def _wants_heat(self, server) -> bool:
-        room = self._server_room.get(server.name)
-        if room is None:
-            return any(b.name == server.name and b.heat_demand_w() > 0 for b in self.boilers)
-        return self.regulators[room].heat_wanted
 
     def submit_edge(self, req: EdgeRequest, direct_target: Optional[str] = None) -> None:
         """Third flow: local request through its district's edge gateway."""

@@ -31,8 +31,8 @@ numpy arrays and steps them all in one :meth:`FleetRegulatorBank.update_all`
 pass.  An *attached* regulator keeps its full scalar API — every attribute
 read/write is redirected into the bank's arrays — so collective controllers,
 the smart-grid manager, faults and tests keep working unchanged, while the
-scalar :meth:`HeatRegulator.update` remains the reference implementation the
-vector pass is tested byte-for-byte against (see DESIGN.md §2.13 for the
+detached :meth:`HeatRegulator.update` remains the reference implementation
+the bank pass is tested byte-for-byte against (see DESIGN.md §2.13 for the
 float-order discipline that makes byte-identity achievable).
 """
 
@@ -79,7 +79,7 @@ class HeatRegulator:
     :meth:`apply_to_server`.
 
     A regulator is either *detached* (state lives in plain attributes — the
-    scalar reference implementation) or *attached* to a
+    per-regulator reference implementation) or *attached* to a
     :class:`FleetRegulatorBank` (state lives at one index of the bank's
     arrays, stepped by the vectorised pass).  The public API is identical in
     both modes.
@@ -166,7 +166,7 @@ class HeatRegulator:
     def update(self, dt_s: float, room_temp_c: float) -> float:
         """Advance the controller by ``dt_s``; returns the power fraction.
 
-        This scalar path is the reference implementation;
+        This per-regulator path is the reference implementation;
         :meth:`FleetRegulatorBank.update_all` performs the same operations in
         the same per-element order and is asserted byte-identical to it.
         """
@@ -225,7 +225,7 @@ class FleetRegulatorBank:
     every elementwise numpy operation below mirrors the scalar expression's
     association order, and reductions are never used (IEEE-754 float64
     arithmetic is deterministic per element; only re-association changes
-    bits).  ``tests/test_kernel_equivalence.py`` enforces this.
+    bits).  ``tests/test_core_regulation.py`` enforces this.
     """
 
     def __init__(self) -> None:

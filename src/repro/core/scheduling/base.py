@@ -61,12 +61,8 @@ class BaseScheduler(ABC):
     decision_system: required for the DECISION policy.
     worker_priority: optional key function ordering candidate workers
         (the middleware passes heat-wanted-first so compute lands where heat
-        is requested).
-    incremental_scans: vector-kernel switch — placement scans run as a
-        single first-fit-by-priority pass that only evaluates the priority
-        key for workers with free capacity, instead of the scalar
-        reference's sort-the-whole-pool rescan.  The chosen worker is
-        identical (see :meth:`_best_worker`); only the scan work changes.
+        is requested).  Placement scans evaluate it only for workers with
+        free capacity (see :meth:`_best_worker`).
     obs: optional :class:`repro.obs.Observability` bundle; defaults to the
         process-wide current one (inactive unless installed).
     """
@@ -79,7 +75,6 @@ class BaseScheduler(ABC):
         offloader=None,
         decision_system=None,
         worker_priority: Optional[Callable[[ComputeServer], float]] = None,
-        incremental_scans: bool = False,
         obs=None,
     ):
         if policy in (SaturationPolicy.VERTICAL, SaturationPolicy.HORIZONTAL) and offloader is None:
@@ -92,7 +87,6 @@ class BaseScheduler(ABC):
         self.offloader = offloader
         self.decision_system = decision_system
         self.worker_priority = worker_priority
-        self.incremental_scans = incremental_scans
         self.obs = obs if obs is not None else get_obs()
         self.cloud_queue: FCFSQueue[CloudRequest] = FCFSQueue()
         self.edge_queue = EDFQueue()
@@ -184,24 +178,13 @@ class BaseScheduler(ABC):
                 self.engine.now - req.time)
 
     def _try_place(self, req, kind: str, workers: Sequence[ComputeServer]) -> bool:
-        ordered = None
-        if self.incremental_scans:
-            w = self._best_worker(workers, req.cores)
-            if w is not None and w.submit(self._make_task(req, kind)):
-                self._note_placed(req, kind, w.name)
-                return True
-        else:
-            ordered = self._ordered(workers)
-            for w in ordered:
-                if w.free_cores >= req.cores:
-                    if w.submit(self._make_task(req, kind)):
-                        self._note_placed(req, kind, w.name)
-                        return True
+        w = self._best_worker(workers, req.cores)
+        if w is not None and w.submit(self._make_task(req, kind)):
+            self._note_placed(req, kind, w.name)
+            return True
         # no plain room: evict filler chunks (BOINC-class heat work is always
         # displaceable by paying requests) and retry
-        if ordered is None:
-            ordered = self._ordered(workers)
-        for w in ordered:
+        for w in self._ordered(workers):
             if not w.enabled:
                 continue
             filler = [t for t in w.running_tasks if t.metadata.get("kind") == "filler"]

@@ -12,14 +12,14 @@ unlocks — and applies grid-operator constraints (demand-response caps) by
 scaling regulator budgets down.  Experiment E3's seasonal-capacity series is
 the manager's :attr:`capacity_log` accumulated over a year.
 
-Vector fast path: when the fleet's regulators live in a
+The fleet's regulators live in a
 :class:`~repro.core.regulation.FleetRegulatorBank` (see
-:meth:`SmartGridManager.attach_bank`), the per-tick fleet signals are
+:meth:`SmartGridManager.attach_bank`), so the per-tick fleet signals are
 computed from the bank's arrays instead of walking ``(server, regulator)``
 pairs in Python.  Float sums that land in logged outputs are performed as
 sequential left-folds over the elementwise-computed products — never as
 numpy reductions, whose pairwise association would change low-order bits —
-so the vector path stays byte-identical to the scalar one (DESIGN.md §2.13).
+so the logs keep the fold order the goldens pin (DESIGN.md §2.13).
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ class SmartGridManager:
 
     Register each (server, regulator) pair; boilers register with their water
     loop's ``headroom`` as a pseudo-regulator via :meth:`register_boiler`.
-    Call :meth:`tick` on the thermal tick, *after* regulators updated.
+    Then :meth:`attach_bank` the frozen bank holding the registered
+    regulators, and call :meth:`tick` on the thermal tick, *after*
+    regulators updated.
     """
 
     def __init__(self, engine):
@@ -59,7 +61,7 @@ class SmartGridManager:
         #: month → accumulated authorised energy (J)
         self.energy_budget_log: Dict[int, float] = {}
         self.curtailment_events = 0
-        self._bank = None               # FleetRegulatorBank, vector kernel only
+        self._bank = None               # FleetRegulatorBank, see attach_bank
         self._pmax_w: Optional[np.ndarray] = None
         self._ncores: Optional[np.ndarray] = None
         self._min_on: Optional[np.ndarray] = None
@@ -77,7 +79,7 @@ class SmartGridManager:
         self._boilers.append(boiler)
 
     def attach_bank(self, bank) -> None:
-        """Enable the vector fast path: fleet regulators live in ``bank``.
+        """Read the fleet's regulator state from ``bank``.
 
         The bank's attach order must match this manager's registration order
         (entry *i*'s regulator is ``bank.regulators[i]``) — the middleware
@@ -116,14 +118,8 @@ class SmartGridManager:
     # ------------------------------------------------------------------ #
     def authorized_power_w(self) -> float:
         """Power the current heat demand authorises across the fleet (W)."""
-        if self._bank is not None:
-            # elementwise products are bit-identical to the scalar terms; the
-            # sequential sum over the list matches the scalar left-fold
-            p = sum((self._bank.power_fraction * self._pmax_w).tolist())
-        else:
-            p = sum(
-                e.regulator.power_fraction * e.server.spec.p_max_w for e in self._fleet
-            )
+        # elementwise products, then a sequential left-fold over the list
+        p = sum((self._bank.power_fraction * self._pmax_w).tolist())
         p += sum(min(b.heat_demand_w(), b.spec.p_max_w) for b in self._boilers)
         return p
 
@@ -134,10 +130,7 @@ class SmartGridManager:
         §III-C observation that boilers decouple compute from space-heating
         seasons.
         """
-        if self._bank is not None:
-            cores = int((self._ncores * self._bank.heat_wanted_mask()).sum())
-        else:
-            cores = sum(e.server.n_cores for e in self._fleet if e.regulator.heat_wanted)
+        cores = int((self._ncores * self._bank.heat_wanted_mask()).sum())
         cores += sum(
             b.n_cores for b in self._boilers if b.heat_demand_w() > 0.05 * b.spec.p_max_w
         )
@@ -149,13 +142,11 @@ class SmartGridManager:
         Quiesced servers (actuation mask False) never appear: their heat is
         aggregate-modelled, so they must not attract filler compute.
         """
-        if self._bank is not None:
-            fleet = self._fleet
-            mask = self._bank.heat_wanted_mask()
-            if self._actuation_mask is not None:
-                mask = mask & self._actuation_mask
-            return [fleet[i].server for i in np.flatnonzero(mask).tolist()]
-        return [e.server for e in self._fleet if e.regulator.heat_wanted]
+        fleet = self._fleet
+        mask = self._bank.heat_wanted_mask()
+        if self._actuation_mask is not None:
+            mask = mask & self._actuation_mask
+        return [fleet[i].server for i in np.flatnonzero(mask).tolist()]
 
     # ------------------------------------------------------------------ #
     # grid negotiation
@@ -191,11 +182,7 @@ class SmartGridManager:
             return 1.0
         scale = self.grid_cap_w / p
         self.curtailment_events += 1
-        if self._bank is not None:
-            self._bank.scale_power(scale)
-        else:
-            for e in self._fleet:
-                e.regulator.power_fraction *= scale
+        self._bank.scale_power(scale)
         return scale
 
     # ------------------------------------------------------------------ #
@@ -207,11 +194,7 @@ class SmartGridManager:
         energy-budget logs.
         """
         self._apply_cap()
-        if self._bank is not None:
-            self._actuate_vector()
-        else:
-            for e in self._fleet:
-                e.regulator.apply_to_server(e.server)
+        self._actuate()
         month = self._cal.month(now)
         self.capacity_log[month] = (
             self.capacity_log.get(month, 0.0) + self.available_cores() * dt
@@ -220,15 +203,15 @@ class SmartGridManager:
             self.energy_budget_log.get(month, 0.0) + self.authorized_power_w() * dt
         )
 
-    def _actuate_vector(self) -> None:
-        """Vectorised equivalent of per-entry ``apply_to_server`` calls.
+    def _actuate(self) -> None:
+        """Per-entry ``HeatRegulator.apply_to_server``, fleet-wide.
 
         The heat-wanted test and the power budget are computed for the whole
         fleet in two array ops; the per-server actuation (``set_freq_cap``
-        with its sync and completion reschedule) stays per-server because the
-        scalar path performs it per-server — skipping an "unchanged" cap
-        would recompute completion horizons at different times and drift the
-        event stream (DESIGN.md §2.13).
+        with its sync and completion reschedule) stays per-server, and runs
+        even when the cap is unchanged — skipping it would recompute
+        completion horizons at different times and drift the event stream
+        (DESIGN.md §2.13).
         """
         bank = self._bank
         act = self._actuation_mask
@@ -239,7 +222,7 @@ class SmartGridManager:
         # keeps the per-tick loop O(live) under the surrogate tier
         indices = (range(len(fleet)) if act is None
                    else np.flatnonzero(act).tolist())
-        # scalar: max(power_fraction, min_on_fraction) per regulator
+        # apply_to_server: max(power_fraction, min_on_fraction) per regulator
         budget = np.maximum(bank.power_fraction, self._min_on)
         if self._shared_scales is not None:
             # index_for_power_budget = largest i with scale[i] <= budget+1e-12

@@ -149,15 +149,11 @@ class ComputeServer:
         self._enabled = True
         self._failed = False
         self._running: Dict[str, Task] = {}
-        # cached Σ task.cores, maintained on every change.  The cache is only
-        # *read* when the engine runs with incremental accounting (the vector
-        # kernel); the scalar reference recomputes from the running-task map.
+        # cached Σ task.cores, maintained on every change of the task map
         self._busy_cores = 0
-        self._incremental = bool(getattr(engine, "incremental_accounting", False))
-        # memoised power_w()/core_rate values, read only under incremental
-        # accounting; invalidated whenever busy cores, the frequency cap or
-        # the power state change, so the cached value is always bitwise equal
-        # to a recomputation
+        # memoised power_w()/core_rate values; invalidated whenever busy
+        # cores, the frequency cap or the power state change, so the cached
+        # value is always bitwise equal to a recomputation
         self._power_cache: Optional[float] = None
         self._rate_cache: Optional[float] = None
         self._last_sync = engine.now
@@ -193,15 +189,8 @@ class ComputeServer:
 
     @property
     def busy_cores(self) -> int:
-        """Cores currently occupied by running tasks.
-
-        Scalar reference: recomputed from the running-task map on every read.
-        Vector kernel (``engine.incremental_accounting``): the incrementally
-        maintained counter — always equal, O(1) instead of O(tasks).
-        """
-        if self._incremental:
-            return self._busy_cores
-        return sum(t.cores for t in self._running.values())
+        """Cores currently occupied by running tasks (a maintained counter)."""
+        return self._busy_cores
 
     @property
     def idle(self) -> bool:
@@ -213,8 +202,7 @@ class ComputeServer:
         """Cores available for new tasks (0 when powered off)."""
         if not self._enabled:
             return 0
-        busy = self._busy_cores if self._incremental else self.busy_cores
-        return self.spec.n_cores - busy
+        return self.spec.n_cores - self._busy_cores
 
     @property
     def utilization(self) -> float:
@@ -247,8 +235,7 @@ class ComputeServer:
         rate = (
             self.spec.ladder[self._freq_cap].freq_ghz * _GHZ if self._enabled else 0.0
         )
-        if self._incremental:
-            self._rate_cache = rate
+        self._rate_cache = rate
         return rate
 
     def power_w(self) -> float:
@@ -259,12 +246,10 @@ class ComputeServer:
             p = 0.0
         else:
             spec = self.spec
-            busy = self._busy_cores if self._incremental else self.busy_cores
-            util = busy / spec.n_cores
+            util = self._busy_cores / spec.n_cores
             scale = spec.ladder.power_scale(self._freq_cap)
             p = spec.p_idle_w + (spec.p_max_w - spec.p_idle_w) * util * scale
-        if self._incremental:
-            self._power_cache = p
+        self._power_cache = p
         return p
 
     def heat_output_w(self) -> float:
@@ -288,8 +273,7 @@ class ComputeServer:
                 raise RuntimeError(f"server {self.name}: engine time went backwards")
             return
         self.energy_j += self.power_w() * dt
-        busy = self._busy_cores if self._incremental else self.busy_cores
-        self.busy_core_seconds += busy * dt
+        self.busy_core_seconds += self._busy_cores * dt
         rate = self._rate_cache
         if rate is None:
             rate = self.core_rate_cycles_per_s()

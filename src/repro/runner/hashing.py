@@ -79,10 +79,10 @@ def stable_hash(obj: Any) -> str:
 def kernel_cache_tag() -> str:
     """Cache namespace of the active simulation kernel.
 
-    The scalar and vector kernels are byte-identical by contract, so their
-    results may share cache entries — the tag is empty.  The surrogate tier
-    is tolerance-budgeted, not identical: its results must never be served
-    from (or poison) the exact kernels' cache, so it gets its own namespace.
+    The exact ``vector`` kernel keeps the default namespace — the tag is
+    empty.  The surrogate tier is tolerance-budgeted, not exact: its results
+    must never be served from (or poison) the exact kernel's cache, so it
+    gets its own namespace.
     Read from the environment, like the kernel resolution itself, so sweep
     worker processes agree with the parent.
     """

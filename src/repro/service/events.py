@@ -6,10 +6,16 @@ connected SSE client owns a bounded :class:`queue.Queue` it drains at its own
 pace.  Publishing never blocks the simulation: when a subscriber's queue is
 full the oldest event is dropped and counted, so a stalled client can at
 worst lose its own history — never slow the engine or its siblings.
+
+The bus also keeps the last ``max_queue`` events in a replay ring, so a
+client that subscribes late (after a short run already finished) or
+reconnects with the SSE ``Last-Event-ID`` can be handed what it missed: see
+:meth:`EventBus.subscribe`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import queue
 import threading
@@ -44,7 +50,11 @@ class Subscription:
 
 
 class EventBus:
-    """Bounded-queue publish/subscribe with drop-oldest overflow."""
+    """Bounded-queue publish/subscribe with drop-oldest overflow.
+
+    ``max_queue`` bounds both each subscriber's queue and the replay ring of
+    the most recent events.
+    """
 
     def __init__(self, max_queue: int = 1024):
         if max_queue < 1:
@@ -54,15 +64,29 @@ class EventBus:
         self._subs: Dict[int, Subscription] = {}
         self._ids = itertools.count()
         self._seq = itertools.count()
+        self._ring: "collections.deque[BusEvent]" = collections.deque(
+            maxlen=max_queue)
         self.published = 0
         self.dropped = 0
 
     # ------------------------------------------------------------------ #
-    def subscribe(self) -> Subscription:
-        """Register a new subscriber; events published after this call flow
-        into its queue."""
+    def subscribe(self, since: Optional[int] = None) -> Subscription:
+        """Register a new subscriber.
+
+        Events published after this call flow into its queue.  With
+        ``since=N`` the queue first receives every ring event with
+        ``seq > N`` (``since=-1`` replays the whole ring).  The replay
+        snapshot and the registration happen under the publish lock, so
+        each event reaches the subscriber exactly once: either replayed or
+        delivered live, never both and never neither — as long as it is
+        still in the ring.
+        """
         sub = Subscription(next(self._ids), queue.Queue(maxsize=self.max_queue))
         with self._lock:
+            if since is not None:
+                for event in self._ring:   # ring ≤ max_queue: never blocks
+                    if event.seq > since:
+                        sub.events.put_nowait(event)
             self._subs[sub.sub_id] = sub
         return sub
 
@@ -85,8 +109,9 @@ class EventBus:
         drop is counted on both the subscription and the bus), so one slow
         SSE client cannot stall the engine thread.
         """
-        event = BusEvent(kind=kind, data=data, seq=next(self._seq))
         with self._lock:
+            event = BusEvent(kind=kind, data=data, seq=next(self._seq))
+            self._ring.append(event)
             subs = list(self._subs.values())
         for sub in subs:
             while True:

@@ -19,7 +19,8 @@ Endpoints
 ``GET  /api/spans``        span-tree / critical-path summary
 ``GET  /api/metrics``      metrics snapshot
 ``GET  /api/trace/tail``   recent trace records (``?n=50``)
-``GET  /events``           SSE telemetry stream (``?max_events=`` to bound)
+``GET  /events``           SSE telemetry stream (``?max_events=`` to bound;
+                           replays recent events, see ``_stream_events``)
 ``POST /api/inject``       inject a request (edge / cloud / heating)
 ``POST /api/scenario``     mutate the scenario (weather / grid cap / kill)
 ``POST /api/control``      pause / pause_at / resume / step
@@ -141,8 +142,14 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(twin.trace_tail_dict(n=n))
             elif url.path == "/events":
                 max_events = q.get("max_events")
-                self._stream_events(
-                    int(max_events[0]) if max_events else None)
+                since = q.get("since", [self.headers.get("Last-Event-ID")])[0]
+                try:
+                    max_events = int(max_events[0]) if max_events else None
+                    since = int(since) if since else -1
+                except ValueError as exc:
+                    self._error(400, f"bad /events parameter: {exc}")
+                    return
+                self._stream_events(max_events, since)
             else:
                 self._error(404, f"no such path: {url.path}")
         except (BrokenPipeError, ConnectionResetError):
@@ -150,14 +157,19 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:
             self._error(500, repr(exc))
 
-    def _stream_events(self, max_events: Optional[int]) -> None:
+    def _stream_events(self, max_events: Optional[int], since: int) -> None:
         """The SSE writer loop: drain this subscriber until it disconnects.
 
-        ``max_events`` bounds the stream then closes it — what the CI smoke
-        test and curl-based probes use to consume a finite prefix.
+        The stream starts with the bus's replay ring: every retained event
+        with ``seq > since`` (``?since=N`` or the ``Last-Event-ID: N`` header
+        of a reconnecting EventSource; ``-1``, the whole ring, when neither
+        is given), so a client that connects after a short run finished
+        still sees it.  ``max_events`` bounds the stream then closes it —
+        what the CI smoke test and curl-based probes use to consume a finite
+        prefix.  The stream also closes right after ``run.finished``.
         """
         twin = self.server.twin
-        sub = twin.bus.subscribe()
+        sub = twin.bus.subscribe(since=since)
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
@@ -179,6 +191,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(frame.encode("utf-8"))
                 self.wfile.flush()
                 sent += 1
+                if ev.kind == "run.finished":
+                    break
         except (BrokenPipeError, ConnectionResetError):
             pass
         finally:

@@ -27,12 +27,12 @@ run in exactly the order an unfused registration would have run them (see
 ``tests/test_sim_engine_properties.py``) — and a fused tick counts as one
 executed event, because it *is* one event.
 
-One low-level hook supports byte-identical *vectorised* fast paths layered
-above the engine (see DESIGN.md §2.13): :meth:`Engine.reserve_seq` advances
-the insertion counter without scheduling, so a batched operation can consume
-exactly the sequence numbers its scalar equivalent would have consumed — the
+One low-level hook supports *batched* operations layered above the engine
+(see DESIGN.md §2.13): :meth:`Engine.reserve_seq` advances the insertion
+counter without scheduling, so a batch can consume exactly the sequence
+numbers the same operations done one at a time would have consumed — the
 live events' ``(time, priority, seq)`` triples, and therefore the dispatch
-order, stay identical.
+order, do not depend on batching.
 
 The engine optionally carries a tracer and a profiler (see :mod:`repro.obs`):
 with either attached, every dispatched callback is attributed to a label (the
@@ -147,12 +147,6 @@ class Engine:
         self._events_executed = 0
         self.tracer = tracer
         self.profiler = profiler
-        #: accounting mode, read by servers at construction: on (the default)
-        #: they keep O(1) incremental bookkeeping (cached busy-core counters);
-        #: ``kernel="scalar"`` turns it off *before* building the model to get
-        #: the recompute-on-read reference.  Results are byte-identical
-        #: either way; only the work per query changes (DESIGN.md §2.13).
-        self.incremental_accounting = True
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -190,12 +184,12 @@ class Engine:
     def reserve_seq(self, n: int = 1) -> None:
         """Advance the insertion counter by ``n`` without scheduling anything.
 
-        Batched fast paths (e.g. :meth:`repro.hardware.server.ComputeServer.
-        submit_batch`) call this to consume exactly the sequence numbers their
-        scalar equivalents would have consumed on intermediate, immediately
+        Batched operations (e.g. :meth:`repro.hardware.server.ComputeServer.
+        submit_batch`) call this to consume exactly the sequence numbers the
+        one-at-a-time calls would have consumed on intermediate, immediately
         cancelled events.  The surviving event then carries the same
-        ``(time, priority, seq)`` triple either way, which is what keeps the
-        vectorised kernel byte-identical to the scalar one.
+        ``(time, priority, seq)`` triple either way, so batching never
+        reorders simultaneous events.
         """
         if n < 0:
             raise SimulationError(f"cannot reserve {n} sequence numbers")

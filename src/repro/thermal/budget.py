@@ -1,19 +1,18 @@
 """The surrogate kernel's error budget — one module, one set of numbers.
 
 The ``surrogate`` kernel tier (DESIGN.md §2.18) is *not* byte-identical to
-the exact kernels: it advances district-aggregate thermal state through a
-reduced-order model and accepts a bounded, declared error in exchange for
-O(districts) instead of O(rooms) per-tick work.  This module declares that
+the exact ``vector`` kernel: it advances district-aggregate thermal state
+through a reduced-order model and accepts a bounded, declared error in
+exchange for O(districts) instead of O(rooms) per-tick work.  This module declares that
 budget.  Every tolerance assertion in the test suite imports these constants
 — the differential fuzz harness in ``tests/test_kernel_equivalence.py``
 asserts each metric against *these names* — so tightening the budget is a
 one-line diff here, and a silently drifting surrogate fails CI rather than
 shipping a wider error bar.
 
-The budget is stated against the ``vector`` kernel (itself byte-identical to
-the scalar reference) over the seeded random cities of the fuzz suite, under
-the surrogate-eligibility conditions documented in EXPERIMENTS.md.  Sampled
-and zoomed districts are exempt from the budget entirely: they must match
+The budget is stated against the ``vector`` kernel over the seeded random
+cities of the fuzz suite, under the surrogate-eligibility conditions
+documented in EXPERIMENTS.md.  Sampled and zoomed districts are exempt from the budget entirely: they must match
 the vector kernel **exactly** (byte-identical trajectories), which the fuzz
 suite asserts separately.
 """

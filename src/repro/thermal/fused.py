@@ -1,12 +1,12 @@
 """City-fused thermal stepping: every building in one elementwise pass.
 
-The scalar tick advances buildings one at a time —
-:meth:`repro.thermal.building.Building.step` builds three small per-room
-arrays and runs the 2R2C forward-Euler update on them.  For a city of B
-buildings that is B numpy-call cascades per tick on arrays of a handful of
-elements each, which is pure interpreter overhead: the buildings share one
-weather, are thermally independent of each other, and (in every city the
-middleware builds) integrate with the same sub-step count.
+:meth:`repro.thermal.building.Building.step` advances one building at a
+time: it builds three small per-room arrays and runs the 2R2C forward-Euler
+update on them.  For a city of B buildings that would be B numpy-call
+cascades per tick on arrays of a handful of elements each, which is pure
+interpreter overhead: the buildings share one weather, are thermally
+independent of each other, and (in every city the middleware builds)
+integrate with the same sub-step count and room count.
 
 :class:`FusedCityThermal` therefore concatenates the room state of all
 buildings into flat city-wide arrays and performs the *same* elementwise
@@ -19,11 +19,11 @@ re-association changes bits).  After each step the per-building
 arrays, so every existing consumer (regulators, comfort, heat-demand
 queries) keeps reading live state through the unchanged ``Building`` API.
 
-The fusion declares itself :attr:`compatible` only when its preconditions
-hold — no inter-room couplings, one shared weather, a single sub-step count
-— and the middleware falls back to per-building stepping otherwise.  This is
-part of the vectorised kernel (DESIGN.md §2.13); the scalar kernel never
-constructs one.
+The constructor raises :class:`ValueError` unless its preconditions hold —
+no inter-room couplings, one shared weather, a single sub-step count, the
+same room count in every building.  The middleware builds every city that
+way, so this is its only thermal path (DESIGN.md §2.13); ``Building.step``
+stays the per-building reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -46,20 +46,24 @@ class FusedCityThermal:
     buildings:
         The city's buildings in a fixed order; that order defines the flat
         room layout (building-major, rooms in index order) and must match
-        the order of any per-room arrays callers hand back to it.
+        the order of any per-room arrays callers hand back to it.  The
+        layout is a dense (buildings, rooms) grid: ``t_air.reshape(B, -1)``
+        is one row per building.
     """
 
     def __init__(self, buildings: Sequence[Building]):
         self.buildings: List[Building] = list(buildings)
         nets = [b.network for b in self.buildings]
-        self.compatible = bool(
+        if not (
             self.buildings
             and all(not n.coupled for n in nets)
             and len({n._dt_max for n in nets}) == 1
+            and len({len(b.rooms) for b in self.buildings}) == 1
             and all(b.weather is self.buildings[0].weather for b in self.buildings)
-        )
-        if not self.compatible:
-            return
+        ):
+            raise ValueError(
+                "cannot fuse these buildings: need uncoupled rooms, one "
+                "weather, one sub-step count and one room count")
         self.weather = self.buildings[0].weather
         self._cal = SimCalendar()
         self._dt_max = nets[0]._dt_max
@@ -72,10 +76,6 @@ class FusedCityThermal:
             offset += len(b.rooms)
         self.rooms = rooms
         self.n = offset
-        #: True when every building has the same room count — the layout is
-        #: then a dense (buildings, rooms) grid and per-building statistics
-        #: can reshape instead of slicing
-        self.uniform = len({len(b.rooms) for b in self.buildings}) == 1
         cat = np.concatenate
         self.c_air = cat([n.c_air for n in nets])
         self.c_env = cat([n.c_env for n in nets])
@@ -101,9 +101,8 @@ class FusedCityThermal:
 
         Returns the per-room heater powers (W, flat order, builtin floats)
         that drove the step, so the caller can reuse them for the
-        useful-heat ledger without polling the servers again — the scalar
-        tick's second ``heater_power_w()`` poll reads the same unchanged
-        values.
+        useful-heat ledger without polling the servers again (a second
+        ``heater_power_w()`` poll would read the same unchanged values).
         """
         p_heat_list = [r.heater_power_w() for r in self.rooms]
         t_out = self.weather.outdoor_temperature(now)

@@ -196,8 +196,6 @@ class SurrogateController:
         cfg = mw.config
         bank = mw._bank
         fused = mw._fused_thermal
-        if bank is None or fused is None:
-            raise ValueError("surrogate kernel requires the fused vector substrate")
         self.n_districts = cfg.n_districts
         self.rooms_per_district = (
             cfg.buildings_per_district * cfg.rooms_per_building)

@@ -87,3 +87,17 @@ def test_publish_from_many_threads_is_safe():
 def test_bad_capacity_rejected():
     with pytest.raises(ValueError):
         EventBus(max_queue=0)
+
+
+def test_subscribe_since_replays_ring_then_goes_live():
+    bus = EventBus(max_queue=4)
+    for i in range(6):
+        bus.publish("tick", {"i": i})
+    assert drain(bus.subscribe(), timeout=0.01) == []        # live only
+    everything = bus.subscribe(since=-1)                     # ring: last 4
+    later = bus.subscribe(since=3)
+    assert [seq for _, _, seq in drain(everything, timeout=0.1)] == [2, 3, 4, 5]
+    assert [seq for _, _, seq in drain(later, timeout=0.1)] == [4, 5]
+    bus.publish("tick", {"i": 6})
+    for sub in (everything, later):
+        assert [seq for _, _, seq in drain(sub, timeout=0.1)] == [6]

@@ -174,6 +174,40 @@ def test_sse_closes_when_run_finishes(served_twin):
     assert "event: run.finished" in done["raw"]
 
 
+def _sse_frames(base, path, headers=None):
+    """Read one SSE stream to its end; returns ``(seq, kind)`` per frame."""
+    req = urllib.request.Request(base + path, headers=headers or {})
+    with urllib.request.urlopen(req, timeout=60) as r:
+        raw = r.read().decode("utf-8")
+    frames = []
+    for frame in raw.split("\n\n"):
+        if frame.strip() and not frame.startswith(":"):
+            lines = dict(line.split(": ", 1) for line in frame.splitlines())
+            frames.append((int(lines["id"]), lines["event"]))
+    return frames
+
+
+def test_sse_reconnect_with_last_event_id_resumes_without_gap(served_twin):
+    twin, base = served_twin
+    post(base, "/api/control", {"action": "resume"})
+    assert twin.join(timeout=60)
+    # a late subscriber replays the whole run and closes at run.finished
+    full = _sse_frames(base, "/events")
+    assert full[-1][1] == "run.finished"
+    assert [seq for seq, _ in full] == list(range(len(full)))
+    # a client that dropped after 5 events reconnects with the last id it saw
+    head = _sse_frames(base, "/events?max_events=5")
+    assert head == full[:5]
+    tail = _sse_frames(base, "/events",
+                       headers={"Last-Event-ID": str(head[-1][0])})
+    assert head + tail == full
+    assert _sse_frames(base, f"/events?since={full[-2][0]}") == full[-1:]
+    for bad in ("/events?since=abc", "/events?max_events=x"):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _sse_frames(base, bad)
+        assert err.value.code == 400, bad
+
+
 def test_shutdown_endpoint_flags_server(served_twin):
     twin, base = served_twin
     out = post(base, "/api/shutdown", {})

@@ -5,8 +5,9 @@ totals, and it runs only in the slow tier.  This test hashes the full
 record of every request of two cells, plus the fleet's energy, executed
 cycles and event count, so a change in event order, RNG draws or float
 fold order anywhere on the churn request path fails in the fast tier.
-Both exact kernels must produce the same digest (CI runs this file under
-``REPRO_KERNEL=scalar`` and ``REPRO_KERNEL=vector``).
+The digests were recorded when a second exact kernel (the retired scalar
+reference) still existed and gave the same ones; CI runs this file under
+``REPRO_KERNEL=vector``.
 
 Request ids are left out: they come from a process-global counter, so
 they depend on what else the process built before.

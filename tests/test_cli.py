@@ -114,3 +114,35 @@ def test_obs_uninstalled_after_run(tmp_path):
     assert main(["run", "A1", "--metrics-out", str(tmp_path / "m.json")]) == 0
     assert get_obs() is before
     assert not get_obs().active
+
+
+@pytest.mark.parametrize("before", [None, "vector"])
+def test_kernel_flag_does_not_leak_into_caller_env(before, monkeypatch, capsys):
+    """``--kernel`` reaches the run (and its worker processes) through
+    ``$REPRO_KERNEL``, but an in-process ``main`` restores the caller's value."""
+    import os
+
+    from repro.experiments.common import small_city
+
+    if before is None:
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_KERNEL", before)
+    seen = []
+    monkeypatch.setattr(cli, "EXPERIMENTS", {})
+    monkeypatch.setattr(cli, "_registry", lambda: {"ZK": (
+        "kernel probe", lambda: seen.append(os.environ.get("REPRO_KERNEL")))})
+    assert main(["run", "ZK", "--kernel", "surrogate", "--no-cache"]) == 0
+    assert seen == ["surrogate"]
+    assert os.environ.get("REPRO_KERNEL") == before
+    assert small_city().kernel == "vector"
+
+
+def test_scalar_kernel_rejected_by_cli(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "A1", "--kernel", "scalar"])
+    assert exc.value.code == 2
+    monkeypatch.setenv("REPRO_KERNEL", "scalar")
+    assert main(["run", "A1", "--no-cache"]) == 2
+    err = capsys.readouterr().err
+    assert "'vector'" in err and "'surrogate'" in err

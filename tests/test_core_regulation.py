@@ -1,8 +1,9 @@
 """Tests for the DVFS heat regulator."""
 
+import numpy as np
 import pytest
 
-from repro.core.regulation import HeatRegulator, RegulatorConfig
+from repro.core.regulation import FleetRegulatorBank, HeatRegulator, RegulatorConfig
 from repro.hardware.qrad import QRad
 from repro.hardware.server import Task
 from repro.sim.engine import Engine
@@ -124,3 +125,39 @@ def test_closed_loop_tracks_setpoint():
         u = reg.update(300.0, float(net.t_air[0]))
         net.step(300.0, t_out=3.0, p_heat=u * p_max)
     assert net.t_air[0] == pytest.approx(20.0, abs=0.7)
+
+
+def test_bank_update_all_equals_detached_updates():
+    """The detached ``update`` is the reference the bank pass must equal bit
+    for bit, regulator by regulator, including clamps and setpoint changes."""
+    rng = np.random.default_rng(11)
+    configs = [RegulatorConfig(kp=float(rng.uniform(0.1, 1.0)),
+                               ki=float(rng.uniform(0.0, 0.8)),
+                               integral_limit=float(rng.uniform(0.5, 3.0)),
+                               off_threshold=float(rng.uniform(0.0, 0.2)))
+               for _ in range(9)]
+    ref = [HeatRegulator(c) for c in configs]
+    banked = [HeatRegulator(c) for c in configs]
+    bank = FleetRegulatorBank()
+    for r in banked:
+        bank.attach(r)
+    bank.freeze()
+    for step in range(40):
+        if step % 7 == 0:
+            targets = rng.uniform(17.0, 23.0, size=len(ref))
+            for a, b, t in zip(ref, banked, targets.tolist()):
+                a.set_target(t)
+                b.set_target(t)
+        temps = rng.uniform(10.0, 28.0, size=len(ref))
+        dt = float(rng.choice([300.0, 600.0]))
+        for r, t in zip(ref, temps.tolist()):
+            r.update(dt, t)
+        bank.update_all(dt, temps)
+        if step % 11 == 5:
+            bank.scale_power(0.5)
+            for r in ref:
+                r.power_fraction *= 0.5
+        for a, b in zip(ref, banked):
+            assert (a.power_fraction, a._integral, a.last_error_c) == (
+                b.power_fraction, b._integral, b.last_error_c)
+        assert bank.heat_wanted_mask().tolist() == [r.heat_wanted for r in ref]

@@ -2,13 +2,23 @@
 
 import pytest
 
-from repro.core.regulation import HeatRegulator, RegulatorConfig
+from repro.core.regulation import FleetRegulatorBank, HeatRegulator, RegulatorConfig
 from repro.core.smartgrid import SmartGridManager
 from repro.hardware.boiler import STIMERGY_SMALL, DigitalBoiler
 from repro.hardware.qrad import QRad
+from repro.hardware.server import Task
 from repro.sim.calendar import DAY
 from repro.sim.engine import Engine
 from repro.thermal.hydronics import WaterLoop, WaterLoopConfig
+
+
+def frozen_bank(regulators=()):
+    """A frozen bank holding ``regulators`` in order, as the middleware builds."""
+    bank = FleetRegulatorBank()
+    for r in regulators:
+        bank.attach(r)
+    bank.freeze()
+    return bank
 
 
 def fleet(engine, n=3):
@@ -20,6 +30,7 @@ def fleet(engine, n=3):
         r.set_target(20.0)
         sg.register(q, r)
         pairs.append((q, r))
+    sg.attach_bank(frozen_bank(r for _, r in pairs))
     return sg, pairs
 
 
@@ -52,6 +63,7 @@ def test_boiler_counts_when_tank_has_headroom():
     loop = WaterLoop(WaterLoopConfig(), t_init_c=40.0)  # cold tank
     b = DigitalBoiler("b0", eng, loop, spec=STIMERGY_SMALL)
     sg.register_boiler(b)
+    sg.attach_bank(frozen_bank())     # no heater fleet
     assert sg.available_cores() == 40
     assert sg.authorized_power_w() > 0
     # full tank: headroom tiny
@@ -99,3 +111,24 @@ def test_heat_match_error():
     if q.enabled and not q.running_tasks:
         q.power_off()
     assert sg.heat_match_error() == 0.0  # no demand, no draw
+
+
+def test_tick_actuates_like_per_server_apply():
+    """``tick``'s fleet-wide actuation equals calling the detached
+    ``HeatRegulator.apply_to_server`` on every (server, regulator) pair."""
+    eng_a, eng_b = Engine(), Engine()
+    sg, pairs = fleet(eng_a, n=6)
+    ref = [(QRad(f"r{i}", eng_b), HeatRegulator()) for i in range(6)]
+    temps = [12.0, 19.6, 19.9, 21.0, 25.0, 17.0]
+    for (_, r), (_, rr), t in zip(pairs, ref, temps):
+        rr.set_target(20.0)
+        r.update(300.0, t)
+        rr.update(300.0, t)
+    pairs[3][0].submit(Task("busy", 1e12, cores=2))   # busy cold server stays on
+    ref[3][0].submit(Task("busy", 1e12, cores=2))
+    sg.tick(0.0, 300.0)
+    for q, rr in ref:
+        rr.apply_to_server(q)
+    assert [(q.enabled, q.freq_index) for q, _ in pairs] == \
+        [(q.enabled, q.freq_index) for q, _ in ref]
+    assert len({(q.enabled, q.freq_index) for q, _ in ref}) > 2
