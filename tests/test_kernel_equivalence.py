@@ -360,6 +360,53 @@ def test_scalar_kernel_is_rejected(monkeypatch):
     assert resolve_kernel("vector") == "vector"
 
 
+def test_kernel_flag_reaches_every_layer(monkeypatch):
+    """The resolved kernel (config, else ``$REPRO_KERNEL``, else vector)
+    reaches the middleware, and every city carries the vector substrate: the
+    regulator bank shared with the smart grid and the fused thermal step."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    vec = small_city()
+    assert vec.kernel == "vector" and vec.surrogate is None
+    monkeypatch.setenv("REPRO_KERNEL", "surrogate")
+    sur = small_city()
+    assert sur.kernel == "surrogate" and sur.surrogate is not None
+    assert small_city(kernel="vector").kernel == "vector"   # config beats env
+    for mw in (vec, sur):
+        assert mw._bank is not None and mw._fused_thermal is not None
+        assert mw.smartgrid._bank is mw._bank
+        assert len(mw._bank) == len(mw.smartgrid._fleet)
+
+
+def test_bare_engine_defaults_to_incremental_accounting():
+    """Servers on an engine that never chose a kernel (the baselines,
+    E1/E7/...) keep the cached busy-core counter, equal at every step to the
+    sum over the running tasks."""
+    from repro.hardware.cpu import DVFSLadder
+    from repro.hardware.server import ComputeServer, ServerSpec
+    from repro.sim.engine import Engine
+
+    eng = Engine()
+    spec = ServerSpec(model="m", n_cores=4, ladder=DVFSLadder.intel_like(),
+                      p_idle_w=10.0, p_max_w=50.0)
+    srv = ComputeServer("s", spec, eng)
+
+    def consistent():
+        busy = sum(t.cores for t in srv.running_tasks)
+        return srv.busy_cores == busy and srv.free_cores == 4 - busy
+
+    assert srv.busy_cores == 0 and consistent()
+    assert srv.submit(Task("a", 1e9, cores=1))
+    assert srv.submit(Task("b", 4e9, cores=2))
+    assert srv.busy_cores == 3 and consistent()
+    assert not srv.submit(Task("c", 1e9, cores=2))   # one core left
+    assert srv.busy_cores == 3 and consistent()
+    srv.preempt("b")
+    assert srv.busy_cores == 1 and consistent()
+    eng.run_until(eng.now + 3600.0)
+    assert srv.idle and srv.busy_cores == 0 and consistent()
+    assert srv.completed_count == 1
+
+
 # --------------------------------------------------------------------------- #
 # perf-regression guard: per-tick scan work
 # --------------------------------------------------------------------------- #
