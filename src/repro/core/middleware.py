@@ -198,7 +198,6 @@ class DF3Middleware:
         self.regulators: Dict[str, HeatRegulator] = {}   # room name → regulator
         self.collectives: Dict[str, CollectiveController] = {}  # building → ctrl
         self._source_district: Dict[str, int] = {}       # request source → district
-        self._room_server: Dict[str, QRad] = {}
         self.boilers: List[DigitalBoiler] = []
         self.smartgrid = SmartGridManager(self.engine)
         self._filler_ids = itertools.count()
@@ -243,7 +242,6 @@ class DF3Middleware:
                         reg.observer = self._regulator_observer(room.name, d)
                     self.regulators[room.name] = reg
                     building_regs.append(reg)
-                    self._room_server[room.name] = qrad
                     self.smartgrid.register(qrad, reg)
                     self._district_qrad_idx[d].append(bank.attach(reg))
                     self._bank_entries.append((qrad, d))

@@ -32,18 +32,30 @@ from repro.workloads.edge import EdgeWorkloadConfig, EdgeWorkloadGenerator
 __all__ = ["run"]
 
 
-def _streams(seed: int, t0: float, t1: float):
+def _plan(seed: int, t0: float, t1: float):
+    """Every rng draw of E9's streams: ``(generator, plan)`` for the four
+    buildings' edge flows, then for the cloud flow.  Request-id free, so one
+    plan serves all four worlds."""
     rngs = RngRegistry(seed)
-    edge: List[EdgeRequest] = []
+    edge = []
     for d in range(2):
         for b in range(2):
             src = f"district-{d}/building-{b}"
             gen = EdgeWorkloadGenerator(rngs.stream(f"edge-{src}"), source=src,
                                         config=EdgeWorkloadConfig(rate_per_hour=40.0))
-            edge.extend(gen.generate(t0, t1))
-    cloud = CloudJobGenerator(rngs.stream("cloud"),
-                              CloudJobConfig(rate_per_hour=10.0)).generate(t0, t1)
-    return edge, cloud
+            edge.append((gen, gen.plan(t0, t1)))
+    cloud = CloudJobGenerator(rngs.stream("cloud"), CloudJobConfig(rate_per_hour=10.0))
+    return edge, (cloud, cloud.plan(t0, t1))
+
+
+def _streams(seed: int, t0: float, t1: float, plans=None):
+    """One world's fresh edge and cloud requests (new request ids), built
+    from ``plans`` (``_plan(seed, t0, t1)``, drawn here if not given)."""
+    edge_plans, (cloud, cloud_plan) = plans or _plan(seed, t0, t1)
+    edge: List[EdgeRequest] = []
+    for gen, plan in edge_plans:
+        edge.extend(gen.materialize(plan))
+    return edge, cloud.materialize(cloud_plan)
 
 
 def _edge_stats(completed, extra_miss: int = 0):
@@ -62,8 +74,10 @@ def run(duration_days: float = 1.0, seed: int = 41) -> ExperimentResult:
     horizon = t1 + 0.5 * DAY
     results: Dict[str, Dict[str, float]] = {}
 
+    plans = _plan(seed, t0, t1)
+
     def fresh_streams():
-        return _streams(seed, t0, t1)
+        return _streams(seed, t0, t1, plans)
 
     # --- DF3 -------------------------------------------------------------- #
     mw = small_city(seed=seed, start_time=t0,

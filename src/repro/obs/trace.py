@@ -52,6 +52,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
@@ -375,12 +376,17 @@ class RingTracer(Tracer):
             self.records.append(record)
 
     def tail(self, n: int) -> List[TraceRecord]:
-        """Most recent ``n`` ring entries, oldest first; thread-safe copy."""
+        """Most recent ``n`` ring entries, oldest first; thread-safe copy.
+
+        Copies only those ``n`` entries, not the whole ring: the twin tails
+        on every telemetry publish.
+        """
         if n < 1:
             return []
         with self._lock:
-            records = list(self.records)
-        return records[-n:]
+            records = list(islice(reversed(self.records), n))
+        records.reverse()
+        return records
 
     def iter_records(self) -> Iterator[TraceRecord]:
         """Snapshot of the ring, in emit order (thread-safe copy)."""

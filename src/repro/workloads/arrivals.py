@@ -9,12 +9,13 @@ homogeneous process at ``rate_max`` and accept each with probability
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.calendar import SimCalendar
+from repro.sim.calendar import DAY, HOUR, YEAR, SimCalendar
 
 __all__ = ["sample_nhpp", "DiurnalProfile"]
 
@@ -60,6 +61,18 @@ def sample_nhpp(
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _season_factors(amplitude: float) -> Tuple[float, ...]:
+    """``1 + amplitude * cos(2π(doy - 15)/365)`` for each day of the year.
+
+    Day 365 is included: ``(t % YEAR)`` rounds up to ``YEAR`` for tiny
+    negative ``t``.  Cached because 366 scalar ``np.cos`` calls cost more
+    than the rest of a profile's construction.
+    """
+    return tuple(float(1.0 + amplitude * np.cos(2 * np.pi * (doy - 15) / 365.0))
+                 for doy in range(366))
+
+
 @dataclass(frozen=True)
 class DiurnalProfile:
     """A λ(t) built from a base rate and multiplicative shape factors.
@@ -85,18 +98,32 @@ class DiurnalProfile:
             raise ValueError("hour weights must be >= 0")
         if not 0 <= self.seasonal_amplitude < 1:
             raise ValueError("seasonal amplitude must be in [0, 1)")
+        # rate() runs once per thinning candidate: tabulate its hour and day
+        # factors with the per-call expressions, so rates stay bitwise equal
+        mean_w = sum(self.hour_weights) / 24.0
+        hour = (tuple(float(w / mean_w) for w in self.hour_weights)
+                if mean_w != 0 else None)
+        season = (_season_factors(self.seasonal_amplitude)
+                  if self.seasonal_amplitude > 0 else None)
+        object.__setattr__(self, "_hour_factor", hour)
+        object.__setattr__(self, "_season_factor", season)
 
     def rate(self, t: float) -> float:
-        """Instantaneous rate (events/s) at simulated time ``t``."""
-        mean_w = sum(self.hour_weights) / 24.0
-        if mean_w == 0:
+        """Instantaneous rate (events/s) at simulated time ``t``.
+
+        Inlines :class:`SimCalendar`'s hour/weekday/day-of-year arithmetic
+        and applies the factors in the order of the per-call formula.
+        """
+        hour = self._hour_factor
+        if hour is None:
             return 0.0
-        w = self.hour_weights[int(self._cal.hour_of_day(t)) % 24] / mean_w
-        if self._cal.is_weekend(t):
+        wrapped = (t + self._cal.epoch_offset) % YEAR
+        day = int(wrapped // DAY)
+        w = hour[int((wrapped % DAY) / HOUR) % 24]
+        if day % 7 >= 5:
             w *= self.weekend_factor
-        if self.seasonal_amplitude > 0:
-            doy = self._cal.day_of_year(t)
-            w *= 1.0 + self.seasonal_amplitude * np.cos(2 * np.pi * (doy - 15) / 365.0)
+        if self._season_factor is not None:
+            w *= self._season_factor[day]
         return self.base_rate_hz * w
 
     def rate_max(self) -> float:

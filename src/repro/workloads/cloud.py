@@ -16,7 +16,7 @@ Two shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from repro.workloads.arrivals import DiurnalProfile
 __all__ = ["CloudJobConfig", "CloudJobGenerator", "RenderCampaign", "QARNOT_2016_CAMPAIGN"]
 
 _GHZ = 1e9
+
+# one planned job: (arrival time, core-seconds, cores, user index)
+CloudPlan = Tuple[Tuple[float, float, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -58,25 +61,42 @@ class CloudJobGenerator:
         self.rng = rng
         self.config = config
         self.profile = DiurnalProfile.office_hours(config.rate_per_hour / 3600.0)
+        self._mu = np.log(config.mean_core_seconds) - 0.5 * config.sigma_log**2
 
     def generate(self, t0: float, t1: float) -> List[CloudRequest]:
         """All cloud requests arriving in [t0, t1), time-sorted."""
-        times = self.profile.sample(self.rng, t0, t1)
-        return [self._make(t) for t in times]
+        return self.materialize(self.plan(t0, t1))
 
-    def _make(self, t: float) -> CloudRequest:
+    def plan(self, t0: float, t1: float) -> CloudPlan:
+        """The pure-data draw plan of ``generate``: every rng draw, no
+        :class:`CloudRequest` (and so no request id).
+
+        Same contract as :meth:`EdgeWorkloadGenerator.plan`: one plan can be
+        materialized into the same requests any number of times.
+        """
         cfg = self.config
-        mu = np.log(cfg.mean_core_seconds) - 0.5 * cfg.sigma_log**2
-        core_seconds = float(self.rng.lognormal(mu, cfg.sigma_log))
-        cores = int(self.rng.integers(1, cfg.max_cores + 1))
-        return CloudRequest(
-            cycles=core_seconds * cfg.ref_freq_ghz * _GHZ,
-            time=t,
-            cores=cores,
-            input_bytes=cfg.input_mb * 1e6,
-            output_bytes=cfg.output_mb * 1e6,
-            user=f"user-{int(self.rng.integers(0, 100))}",
-        )
+        rng = self.rng
+        out = []
+        for t in self.profile.sample(rng, t0, t1):
+            core_seconds = float(rng.lognormal(self._mu, cfg.sigma_log))
+            cores = int(rng.integers(1, cfg.max_cores + 1))
+            out.append((t, core_seconds, cores, int(rng.integers(0, 100))))
+        return tuple(out)
+
+    def materialize(self, plan: CloudPlan) -> List[CloudRequest]:
+        """Construct the planned requests (consumes request ids, no rng)."""
+        cfg = self.config
+        return [
+            CloudRequest(
+                cycles=core_seconds * cfg.ref_freq_ghz * _GHZ,
+                time=t,
+                cores=cores,
+                input_bytes=cfg.input_mb * 1e6,
+                output_bytes=cfg.output_mb * 1e6,
+                user=f"user-{user}",
+            )
+            for t, core_seconds, cores, user in plan
+        ]
 
 
 @dataclass(frozen=True)

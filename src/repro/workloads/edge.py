@@ -13,6 +13,7 @@ detection — all share this shape.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -79,8 +80,12 @@ class EdgeWorkloadGenerator:
         total = weights.sum()
         if total <= 0:
             raise ValueError("deadline class weights sum to zero")
-        self._deadline_p = weights / total
-        self._deadlines = np.array([d for d, _ in config.deadline_classes])
+        # the normalised CDF Generator.choice(p=weights / total) builds
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        self._deadline_cdf = cdf.tolist()
+        self._deadline_s = [float(d) for d, _ in config.deadline_classes]
+        self._mu = np.log(config.mean_megacycles * 1e6) - 0.5 * config.sigma_log**2
 
     def generate(self, t0: float, t1: float) -> List[EdgeRequest]:
         """All edge requests arriving in [t0, t1), time-sorted."""
@@ -122,9 +127,11 @@ class EdgeWorkloadGenerator:
 
     def _draw(self, t: float) -> Tuple[float, float, float, str]:
         cfg = self.config
-        mu = np.log(cfg.mean_megacycles * 1e6) - 0.5 * cfg.sigma_log**2
-        cycles = float(self.rng.lognormal(mu, cfg.sigma_log))
-        deadline = float(self.rng.choice(self._deadlines, p=self._deadline_p))
+        cycles = float(self.rng.lognormal(self._mu, cfg.sigma_log))
+        # Generator.choice(deadlines, p=...)'s own draw: one uniform, then
+        # searchsorted(side="right") on the CDF, which bisect_right is
+        deadline = self._deadline_s[
+            bisect_right(self._deadline_cdf, self.rng.random())]
         mode = EdgeMode.DIRECT if self.rng.random() < cfg.direct_fraction else EdgeMode.INDIRECT
         return (float(t), cycles, deadline, mode.value)
 

@@ -191,6 +191,20 @@ def test_ring_tracer_keeps_last_n():
     assert [r.ts for r in tr.iter_records()] == [float(i) for i in range(90, 100)]
 
 
+def test_ring_tracer_tail_matches_full_copy_slice():
+    """``tail(n)`` copies only ``n`` entries yet returns what slicing a full
+    copy of the ring did: n < len, n == len, n > len, before and after
+    eviction."""
+    tr = RingTracer(capacity=8)
+    for emitted in (5, 8, 21):
+        while tr.total_emitted < emitted:
+            tr.emit("request", "x", float(tr.total_emitted))
+        for n in (0, 1, 3, len(tr), len(tr) + 1, 100):
+            expected = list(tr.records)[-n:] if n else []
+            assert tr.tail(n) == expected
+    assert [r.ts for r in tr.tail(3)] == [18.0, 19.0, 20.0]
+
+
 def test_ring_tracer_with_kind_filter():
     tr = RingTracer(capacity=4, kinds={"keep"})
     for i in range(10):

@@ -200,3 +200,48 @@ def test_baseline_engines_report_to_the_profiler():
     labels = prof.stats()
     assert labels["process:desktop-grid-tick"]["calls"] == 12
     assert labels["ComputeServer._on_completion_event"]["calls"] == 1
+
+
+def test_e9_draws_its_streams_once_for_four_worlds(monkeypatch):
+    """E9 samples each of its five request streams (four buildings' edge
+    flows, one cloud flow) once, then materializes fresh requests per world
+    through ``_streams`` -- one call per world."""
+    from repro.experiments import e9_baselines
+    from repro.workloads import arrivals
+
+    calls = {"sample_nhpp": 0, "_streams": 0}
+    sample, streams = arrivals.sample_nhpp, e9_baselines._streams
+
+    def counting_sample(*args, **kwargs):
+        calls["sample_nhpp"] += 1
+        return sample(*args, **kwargs)
+
+    def counting_streams(*args, **kwargs):
+        calls["_streams"] += 1
+        return streams(*args, **kwargs)
+
+    monkeypatch.setattr(arrivals, "sample_nhpp", counting_sample)
+    monkeypatch.setattr(e9_baselines, "_streams", counting_streams)
+    result = e9_baselines.run(duration_days=0.25)
+    assert list(result.data) == ["df3", "cloud-only", "micro-dc", "desktop-grid"]
+    assert calls == {"sample_nhpp": 5, "_streams": 4}
+
+
+def test_e9_worlds_get_equal_streams_with_fresh_ids():
+    """Every world's stream is the same requests under new request ids."""
+    from dataclasses import fields
+
+    from repro.experiments import e9_baselines
+
+    t0 = WINTER
+    plans = e9_baselines._plan(41, t0, t0 + 0.25 * DAY)
+    a = e9_baselines._streams(41, t0, t0 + 0.25 * DAY, plans)
+    b = e9_baselines._streams(41, t0, t0 + 0.25 * DAY)
+
+    def rows(reqs):
+        return [{f.name: getattr(r, f.name) for f in fields(r)
+                 if f.name != "request_id"} for r in reqs]
+
+    for x, y in zip(a, b):
+        assert x and rows(x) == rows(y)
+        assert not {r.request_id for r in x} & {r.request_id for r in y}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.calendar import DAY, HOUR
+from repro.sim.calendar import DAY, HOUR, YEAR, SimCalendar
 from repro.sim.rng import RngRegistry
 from repro.workloads.arrivals import DiurnalProfile, sample_nhpp
 
@@ -100,3 +100,37 @@ def test_profile_sampling_end_to_end():
     arr = p.sample(rng(2), 0.0, 7 * DAY)
     # ~100/h base over a week, modulated: sanity band
     assert 5000 < len(arr) < 30000
+
+
+def _reference_rate(p, t):
+    """``DiurnalProfile.rate`` as it was before it became table-driven:
+    per-call mean weight, calendar calls and ``np.cos``."""
+    cal = p._cal
+    mean_w = sum(p.hour_weights) / 24.0
+    if mean_w == 0:
+        return 0.0
+    w = p.hour_weights[int(cal.hour_of_day(t)) % 24] / mean_w
+    if cal.is_weekend(t):
+        w *= p.weekend_factor
+    if p.seasonal_amplitude > 0:
+        doy = cal.day_of_year(t)
+        w *= 1.0 + p.seasonal_amplitude * np.cos(2 * np.pi * (doy - 15) / 365.0)
+    return p.base_rate_hz * w
+
+
+@pytest.mark.parametrize("profile", [
+    DiurnalProfile.home_evenings(40.0 / 3600.0),
+    DiurnalProfile.office_hours(10.0 / 3600.0),
+    DiurnalProfile(1.0, hour_weights=(0.0,) * 24, seasonal_amplitude=0.3),
+    DiurnalProfile(0.7, hour_weights=tuple(range(24)), weekend_factor=0.6,
+                   seasonal_amplitude=0.5, _cal=SimCalendar(epoch_offset=5 * HOUR)),
+], ids=["home_evenings", "office_hours", "all_zero", "shifted_epoch"])
+def test_rate_table_bitwise_equals_reference(profile):
+    """The tabulated rate is bitwise the per-call formula: every hour of the
+    year (on the hour and mid-hour), across the YEAR wrap, and at a tiny
+    negative time whose wrap rounds up to YEAR."""
+    ts = [h * HOUR + off for h in range(365 * 24) for off in (0.0, 1799.5)]
+    ts += [YEAR - 1e-6, YEAR, YEAR + 0.5, YEAR + 3 * DAY + 17 * HOUR,
+           2 * YEAR + 30 * DAY, -1e-20, -HOUR]
+    for t in ts:
+        assert profile.rate(t) == _reference_rate(profile, t), t

@@ -1,5 +1,7 @@
 """Tests for cloud, edge, alarm and heating workload generators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ def test_cloud_config_validation():
         CloudJobConfig(mean_core_seconds=0.0)
     with pytest.raises(ValueError):
         CloudJobConfig(max_cores=0)
+
+
+def _fields_but_id(req):
+    return {f.name: getattr(req, f.name) for f in dataclasses.fields(req)
+            if f.name != "request_id"}
+
+
+def test_cloud_materialize_of_plan_equals_generate():
+    """``materialize(plan(...))`` is ``generate(...)`` field for field (ids
+    aside: each construction takes fresh ones) and draws the same rng."""
+    cfg = CloudJobConfig(rate_per_hour=40.0)
+    direct = CloudJobGenerator(rng(7), cfg)
+    split = CloudJobGenerator(rng(7), cfg)
+    reqs = direct.generate(0.0, 3 * DAY)
+    plan = split.plan(0.0, 3 * DAY)
+    assert len(reqs) > 50
+    assert split.rng.bit_generator.state == direct.rng.bit_generator.state
+    for again in (split.materialize(plan), split.materialize(plan)):
+        assert [_fields_but_id(r) for r in again] == [_fields_but_id(r) for r in reqs]
+        assert not {r.request_id for r in again} & {r.request_id for r in reqs}
 
 
 def test_render_campaign_published_stats():
@@ -97,6 +119,31 @@ def test_edge_burst():
     assert len(burst) == 10
     assert burst[0].time == 100.0
     assert burst[-1].time == pytest.approx(100.9)
+
+
+@pytest.mark.parametrize("classes", [
+    ((0.5, 0.3), (2.0, 0.5), (5.0, 0.2)),
+    ((1.0, 0.0), (3.0, 2.0), (7.0, 0.0), (9.0, 1.0)),
+])
+def test_edge_deadline_draw_is_generator_choice(classes):
+    """The tabulated inverse-CDF deadline draw equals
+    ``Generator.choice(deadlines, p=...)`` on a same-seed generator, draw
+    for draw; a numpy whose ``choice`` draws differently fails here."""
+    cfg = EdgeWorkloadConfig(deadline_classes=classes, direct_fraction=0.3)
+    gen = EdgeWorkloadGenerator(rng(9), source="b", config=cfg)
+    mirror = rng(9)
+    deadlines = np.array([d for d, _ in classes])
+    weights = np.array([w for _, w in classes], dtype=float)
+    p = weights / weights.sum()
+    mu = np.log(cfg.mean_megacycles * 1e6) - 0.5 * cfg.sigma_log**2
+    plan = gen.plan_burst(0.0, n=10_000)
+    for t, cycles, deadline, mode in plan:
+        assert cycles == float(mirror.lognormal(mu, cfg.sigma_log))
+        assert deadline == float(mirror.choice(deadlines, p=p))
+        direct = mirror.random() < cfg.direct_fraction
+        assert mode == (EdgeMode.DIRECT if direct else EdgeMode.INDIRECT).value
+    assert {d for _, _, d, _ in plan} == {d for d, w in classes if w > 0}
+    assert gen.rng.bit_generator.state == mirror.bit_generator.state
 
 
 def test_edge_config_validation():
